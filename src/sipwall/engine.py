@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .parser import FieldPath, MalformedMessage, ParseTree, TransactionKey
-from .rules import ActionKind, Clause, RuleProgram, ClauseKind, _COMPARATORS
+from .parser import MalformedMessage, ParseTree, TransactionKey
+from .rules import Action, ActionKind, Clause, ClauseKind, Rule, RuleProgram, _COMPARATORS
 from .state import GLOBAL_KEY, Scope, ScopeKey, StateStore
 
 __all__ = [
@@ -27,15 +28,13 @@ __all__ = [
 DEFAULT_SWEEP_PERIOD = 256
 DEFAULT_TRANSACTION_LIFETIME = 32.0
 
-_NET_SRC = "FIELDS:net.src_addr"
-
 
 @dataclass
 class Verdict:
     decision: str  # "forward" | "drop"
     matched_rules: tuple[int, ...] = ()
     dropping_rule: int | None = None
-    processing_time: float = 0.0  # seconds, dequeue to verdict
+    processing_time: float = 0.0  # seconds, dequeue to verdict, incl. any sweep it triggered
     malformed: bool = False
     internal_error: bool = False
 
@@ -151,7 +150,8 @@ class Engine:
         self.latencies_ns: list[int] = []
         self._since_sweep = 0
         self._clock = 0.0
-        self._net_src_id = program.parser.field_id(_NET_SRC)
+        self._clause_tests: dict[int, Callable] = {}  # by id(clause)
+        self._plan = tuple(self._compile_rule(program.rule(rid)) for rid in program.schedule)
 
     # ------------------------------------------------------------------
 
@@ -203,10 +203,10 @@ class Engine:
             decision = "forward"
             self.stats.forwarded += 1
 
+        self._maybe_sweep(arrival_time)
         elapsed = time.perf_counter_ns() - t0
         if self.record_latency:
             self.latencies_ns.append(elapsed)
-        self._maybe_sweep(arrival_time)
         return Verdict(
             decision=decision,
             matched_rules=matched,
@@ -281,76 +281,106 @@ class Engine:
 
     def _evaluate(self, ctx: MessageContext) -> tuple[tuple[int, ...], int | None]:
         matched: list[int] = []
-        dropping: int | None = None
-        now = ctx.arrival_time
-        for rid in self.program.schedule:
-            rule = self.program.rule(rid)
-            if rule.phase != "any" and rule.phase != ctx.tx_class:
+        tx_class = ctx.tx_class
+        for rid, phase, tests, steps, drops in self._plan:
+            if phase is not None and phase != tx_class:
                 continue
-            if not all(self.evaluate_clause(c, ctx) for c in rule.clauses):
-                continue
-            matched.append(rid)
-            stop = False
-            for act in rule.actions:
-                if act.kind is ActionKind.DROP:
-                    dropping = rid
-                    stop = True
+            for test in tests:
+                if not test(self, ctx):
                     break
-                if act.kind is ActionKind.FORWARD:
-                    continue
-                desc = self.program.declared_objects[act.name]
-                key = self._scope_key(desc.scope, ctx)
-                if key is None:
-                    continue
-                if act.kind is ActionKind.HOLD:
-                    value = ctx.tree.value_of(act.source_field_id)
-                    if value is not None:
-                        self.store.resolve(act.name, key, now).insert(value, now)
-                else:
-                    self.store.resolve(act.name, key, now).counter_increment(now)
-            if stop:
-                break
-        return tuple(matched), dropping
+            else:
+                matched.append(rid)
+                for step in steps:
+                    step(self, ctx)
+                if drops:
+                    return tuple(matched), rid
+        return tuple(matched), None
 
     def evaluate_clause(self, clause: Clause, ctx: MessageContext) -> bool:
-        base = self._clause_base(clause, ctx)
-        if base is None:
-            # absent field or unscopable message: the clause never
-            # matches, negated or not
-            return False
-        return base != clause.negated
+        """Outcome of one clause of this engine's program on ctx."""
+        return self._clause_tests[id(clause)](self, ctx)
 
-    def _clause_base(self, clause: Clause, ctx: MessageContext) -> bool | None:
-        """Raw test outcome, or None when the subject is absent."""
-        now = ctx.arrival_time
-        if isinstance(clause.target, FieldPath):
-            if self._net_src_id is not None and clause.field_id == self._net_src_id:
-                value = ctx.src_host
-            else:
-                value = ctx.tree.value_of(clause.field_id)
-            if value is None:
-                return None
-            kind = clause.kind
-            if kind is ClauseKind.REGEX:
-                return clause.regex.search(value) is not None
-            if kind is ClauseKind.NORMALIZE:
-                return True  # the cap itself is applied at parse time
-            if kind is ClauseKind.IN:
-                desc = self.program.declared_objects[clause.object_name]
-                key = self._scope_key(desc.scope, ctx)
-                if key is None:
-                    return None
-                inst = self.store.resolve(clause.object_name, key, now)
-                return inst.contains(value)
-            try:
-                number = int(value.strip())
-            except ValueError:
-                return False
-            return _COMPARATORS[kind](number, clause.operand)
+    # ------------------------------------------------------------------
+    # Compiled clauses and actions take the engine as an argument instead
+    # of holding it, so no cycle keeps a dropped engine and its state alive.
 
-        desc = self.program.declared_objects[clause.target]
-        key = self._scope_key(desc.scope, ctx)
-        if key is None:
-            return None
-        current = self.store.resolve(clause.target, key, now).counter_value(now)
-        return _COMPARATORS[clause.kind](current, clause.operand)
+    def _compile_rule(self, rule: Rule) -> tuple:
+        """(rule id, phase or None, clause tests, action steps, drops); steps end at a drop."""
+        tests = tuple(map(self._compile_clause, rule.clauses))
+        self._clause_tests.update(zip(map(id, rule.clauses), tests))
+        steps, drops = [], False
+        for act in rule.actions:
+            if act.kind is ActionKind.DROP:
+                drops = True
+                break
+            if act.kind is not ActionKind.FORWARD:
+                steps.append(self._compile_action(act))
+        phase = None if rule.phase == "any" else rule.phase
+        return rule.rule_id, phase, tests, tuple(steps), drops
+
+    def _compile_clause(self, clause: Clause) -> Callable[[Engine, MessageContext], bool]:
+        """The clause as one closure.  An absent subject (field, or scope key
+        of a scoped object) makes it false in both polarities."""
+        neg, kind, store, fid = clause.negated, clause.kind, self.store, clause.field_id
+        if isinstance(clause.target, str):  # a counter's current level
+            counter, scope = clause.target, self.program.declared_objects[clause.target].scope
+            def value(engine: Engine, ctx: MessageContext) -> int | None:
+                key = engine._scope_key(scope, ctx)
+                now = ctx.arrival_time
+                return None if key is None else store.resolve(counter, key, now).counter_value(now)
+        elif clause.target.key() == "FIELDS:net.src_addr":
+            def value(engine: Engine, ctx: MessageContext) -> str | None:
+                return ctx.src_host
+        else:
+            def value(engine: Engine, ctx: MessageContext) -> str | None:
+                node = ctx.tree.nodes.get(fid)
+                return None if node is None else node.value
+
+        if kind is ClauseKind.REGEX:
+            search = clause.regex.search
+            def test(engine: Engine, ctx: MessageContext) -> bool:
+                v = value(engine, ctx)
+                return v is not None and (search(v) is None) is neg
+
+        elif kind is ClauseKind.NORMALIZE:
+            def test(engine: Engine, ctx: MessageContext) -> bool:
+                return value(engine, ctx) is not None  # the cap is applied at parse time
+
+        elif kind is ClauseKind.IN:
+            name = clause.object_name
+            scope = self.program.declared_objects[name].scope
+            def test(engine: Engine, ctx: MessageContext) -> bool:
+                v = value(engine, ctx)
+                key = None if v is None else engine._scope_key(scope, ctx)
+                return key is not None and store.resolve(name, key, ctx.arrival_time).contains(v) != neg
+
+        else:
+            cmp, operand = _COMPARATORS[kind], clause.operand
+            def test(engine: Engine, ctx: MessageContext) -> bool:
+                v = value(engine, ctx)
+                if v is None:
+                    return False
+                try:
+                    number = int(v.strip()) if isinstance(v, str) else v  # counters are ints
+                except ValueError:
+                    return neg  # a non-number compares false, then negation applies
+                return cmp(number, operand) != neg
+
+        return test
+
+    def _compile_action(self, act: Action) -> Callable[[Engine, MessageContext], None]:
+        """A hold: or declare: action as one closure, a no-op without a scope key."""
+        name, store, fid = act.name, self.store, act.source_field_id
+        scope = self.program.declared_objects[name].scope
+        def hold(engine: Engine, ctx: MessageContext) -> None:
+            key = engine._scope_key(scope, ctx)
+            node = ctx.tree.nodes.get(fid)
+            if key is not None and node is not None:
+                store.resolve(name, key, ctx.arrival_time).insert(node.value, ctx.arrival_time)
+
+        def count(engine: Engine, ctx: MessageContext) -> None:
+            key = engine._scope_key(scope, ctx)
+            if key is not None:
+                store.resolve(name, key, ctx.arrival_time).counter_increment(ctx.arrival_time)
+
+        return hold if act.kind is ActionKind.HOLD else count

@@ -76,6 +76,11 @@ _BRANCH_RE = re.compile(rb"branch[ \t]*=[ \t]*([^;,\s]+)", re.IGNORECASE)
 # applied with .match(raw, pos), which anchors at pos; no ^ (it would pin to offset 0)
 _CSEQ_RE = re.compile(rb"(\d+)[ \t]+([^ \t\r\n]+)")
 
+# Fields the dialog and transaction keys are built from, in the order
+# extract_dialog_key/extract_transaction_key unpack their ids.
+_KEY_FIELDS = ("FIELDS:sip.call_id", "FIELDS:sip.from.tag", "FIELDS:sip.to.tag",
+               "FIELDS:sip.via.branch", "FIELDS:sip.cseq.method")
+
 
 @dataclass(frozen=True)
 class FieldPath:
@@ -243,6 +248,7 @@ class SipParser:
         self._header_plan: dict[str, dict[str, tuple[int, str]]] = {}
         self._start_plan: dict[str, tuple[int, str]] = {}
         self._body_field: tuple[int, str] | None = None
+        self._key_ids: tuple[int | None, ...] | None = None  # set by seal()
         self.parse_events = 0
 
     def register_field(self, path: FieldPath | str) -> int:
@@ -293,7 +299,11 @@ class SipParser:
                 continue
             else:
                 self._header_plan.setdefault(family, {})[part] = (fid, ftype)
+        self._key_ids = self._key_field_ids()
         self._sealed = True
+
+    def _key_field_ids(self) -> tuple[int | None, ...]:
+        return tuple(self._ids.get(key) for key in _KEY_FIELDS)
 
     # ------------------------------------------------------------------
     # message parsing
@@ -329,16 +339,18 @@ class SipParser:
         return ParseTree(kind, method, status, nodes, len(raw))
 
     def extract_dialog_key(self, tree: ParseTree) -> DialogKey | None:
-        call_id = tree.value_of(self.field_id("FIELDS:sip.call_id"))
+        call_id_id, from_tag_id, to_tag_id, _, _ = self._key_ids or self._key_field_ids()
+        call_id = tree.value_of(call_id_id)
         if not call_id:
             return None
-        from_tag = tree.value_of(self.field_id("FIELDS:sip.from.tag")) or ""
-        to_tag = tree.value_of(self.field_id("FIELDS:sip.to.tag")) or ""
+        from_tag = tree.value_of(from_tag_id) or ""
+        to_tag = tree.value_of(to_tag_id) or ""
         return DialogKey(call_id, from_tag, to_tag)
 
     def extract_transaction_key(self, tree: ParseTree) -> TransactionKey | None:
-        branch = tree.value_of(self.field_id("FIELDS:sip.via.branch"))
-        cseq_method = tree.value_of(self.field_id("FIELDS:sip.cseq.method"))
+        _, _, _, branch_id, method_id = self._key_ids or self._key_field_ids()
+        branch = tree.value_of(branch_id)
+        cseq_method = tree.value_of(method_id)
         if not branch or not cseq_method:
             return None
         return TransactionKey(branch, cseq_method)

@@ -181,7 +181,6 @@ class RuleProgram:
     schedule: tuple[int, ...]  # rule ids in evaluation order
     declared_objects: dict[str, ContainerDescriptor]
     parser: SipParser
-    registered_fields: tuple[str, ...]
     normalize_caps: dict[str, int]
 
     def rule(self, rule_id: int) -> Rule:
@@ -520,7 +519,6 @@ def compile_ruleset(
         schedule=order,
         declared_objects=descriptors,
         parser=parser,
-        registered_fields=parser.registered_paths(),
         normalize_caps=caps,
     )
 

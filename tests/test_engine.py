@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
+import time
+import weakref
 
 import pytest
 
@@ -178,6 +181,15 @@ class TestClauseSemantics:
         assert v1.decision == "drop"
         assert v2.decision == "forward"
         assert v3.decision == "forward"
+
+    def test_evaluate_clause(self):
+        engine = make_engine(
+            'secsip "FIELDS:sip.method" "^INVITE$" && "FIELDS:sip.contact" "!." drop'
+        )
+        ctx = engine.context_for(engine.program.parser.parse_message(invite()))
+        method, contact = engine.program.rules[0].clauses
+        assert engine.evaluate_clause(method, ctx) is True
+        assert engine.evaluate_clause(contact, ctx) is False  # absent, even negated
 
     def test_hold_skips_absent_source(self):
         engine = make_engine(
@@ -367,6 +379,32 @@ class TestSnapshots:
         assert snap["forwarded"] == 25
         assert snap["dropped"] == 5
         assert snap["drops_by_rule"] == {2: 5}
+
+    def test_sweep_is_charged_to_its_message(self, monkeypatch):
+        engine = make_engine("", sweep_period=2)
+        expire = engine.store.expire
+
+        def slow_expire(now):
+            time.sleep(0.02)
+            return expire(now)
+
+        monkeypatch.setattr(engine.store, "expire", slow_expire)
+        engine.process_message(invite(0))
+        swept = engine.process_message(invite(1))  # the second message sweeps
+        assert swept.processing_time >= 0.02
+        assert engine.latencies_ns[-1] == round(swept.processing_time * 1e9)
+
+    def test_dropped_engine_freed_without_gc(self):
+        # compiled rules must not hold their engine: a cycle would keep a
+        # dropped engine and all its state alive until the cyclic collector runs
+        engine = Engine(compile_ruleset(parse_ruleset(builtin_ruleset("collections"))))
+        ref = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_latency_recording_toggle(self):
         on = make_engine("")

@@ -355,3 +355,14 @@ class TestKeys:
             """
         )
         assert full_parser.extract_transaction_key(full_parser.parse_message(msg)) is None
+
+    def test_keys_on_unsealed_parser(self, full_parser):
+        # the same registrations in the same order give the same field ids
+        unsealed = SipParser()
+        for key in FIELD_CATALOG:
+            unsealed.register_field(key)
+        for msg in (INVITE, RINGING):
+            tree = full_parser.parse_message(msg)
+            assert unsealed.extract_dialog_key(tree) == full_parser.extract_dialog_key(tree)
+            assert unsealed.extract_transaction_key(tree) == full_parser.extract_transaction_key(tree)
+        unsealed.register_field("FIELDS:sip.method")  # extraction left it unsealed
