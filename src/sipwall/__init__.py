@@ -2,12 +2,10 @@
 
 from .engine import Engine, Verdict
 from .parser import (
-    DialogKey,
     FieldPath,
     MalformedMessage,
     ParseTree,
     SipParser,
-    TransactionKey,
     normalize_value,
 )
 from .rules import RuleError, RuleProgram, compile_ruleset, parse_ruleset
@@ -19,12 +17,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Engine",
     "Verdict",
-    "DialogKey",
     "FieldPath",
     "MalformedMessage",
     "ParseTree",
     "SipParser",
-    "TransactionKey",
     "normalize_value",
     "RuleError",
     "RuleProgram",

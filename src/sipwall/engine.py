@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
-from .parser import MalformedMessage, ParseTree, TransactionKey
+from .parser import FieldPath, MalformedMessage, ParseTree
 from .rules import Action, ActionKind, Clause, ClauseKind, Rule, RuleProgram, _COMPARATORS
-from .state import GLOBAL_KEY, Scope, ScopeKey, StateStore
+from .state import GLOBAL_KEY, Scope, StateStore
 
 __all__ = [
     "Verdict",
     "MessageContext",
-    "TransactionRecord",
     "TransactionTracker",
     "Engine",
 ]
@@ -40,18 +40,10 @@ class Verdict:
 
 
 @dataclass
-class TransactionRecord:
-    key: TransactionKey
-    tx_class: str  # "invite" | "non-invite"
-    state: str  # calling | trying | proceeding | completed | terminated
-    last_update: float
-
-
-@dataclass
 class MessageContext:
     tree: ParseTree
-    dialog_key: object
-    transaction_key: TransactionKey | None
+    dialog_key: tuple[str, str, str] | None
+    transaction_key: tuple[str, str] | None
     tx_class: str | None
     direction: str
     src: tuple[str, int] | None
@@ -64,56 +56,18 @@ class MessageContext:
 
 
 class TransactionTracker:
-    """Collapsed per-transaction state machine.
-
-    calling/trying -> proceeding on a 1xx -> completed on a final
-    response -> terminated on ACK.  A response for an unknown key starts
-    a record directly in the matching state so mid-trace starts work.
-    """
+    """Last-seen time per transaction key; the sweep forgets keys idle
+    longer than the lifetime."""
 
     def __init__(self, lifetime: float = DEFAULT_TRANSACTION_LIFETIME):
         self.lifetime = lifetime
-        self.records: dict[TransactionKey, TransactionRecord] = {}
+        self.records: dict[tuple[str, str], float] = {}
 
-    def update(self, key: TransactionKey, tree: ParseTree, now: float) -> TransactionRecord:
-        rec = self.records.get(key)
-        cls = "invite" if key.cseq_method.upper() in ("INVITE", "ACK") else "non-invite"
-        if tree.message_kind == "request":
-            method = tree.method.upper()
-            if rec is None:
-                if method == "ACK":
-                    state = "terminated"
-                elif cls == "invite":
-                    state = "calling"
-                else:
-                    state = "trying"
-                rec = TransactionRecord(key, cls, state, now)
-                self.records[key] = rec
-            else:
-                if method == "ACK":
-                    rec.state = "terminated"
-                rec.last_update = now
-        else:
-            status = tree.status_code or 0
-            if rec is None:
-                state = "proceeding" if status < 200 else "completed"
-                rec = TransactionRecord(key, cls, state, now)
-                self.records[key] = rec
-            else:
-                if status < 200:
-                    if rec.state in ("calling", "trying"):
-                        rec.state = "proceeding"
-                elif rec.state != "terminated":
-                    rec.state = "completed"
-                rec.last_update = now
-        return rec
+    def update(self, key: tuple[str, str], now: float) -> None:
+        self.records[key] = now
 
     def sweep(self, now: float) -> int:
-        dead = [
-            key
-            for key, rec in self.records.items()
-            if now - rec.last_update > self.lifetime
-        ]
+        dead = [key for key, seen in self.records.items() if now - seen > self.lifetime]
         for key in dead:
             del self.records[key]
         return len(dead)
@@ -139,15 +93,12 @@ class Engine:
         *,
         sweep_period: int = DEFAULT_SWEEP_PERIOD,
         transaction_lifetime: float = DEFAULT_TRANSACTION_LIFETIME,
-        record_latency: bool = True,
     ):
         self.program = program
         self.store = StateStore(program.declared_objects)
         self.transactions = TransactionTracker(transaction_lifetime)
         self.stats = EngineStats()
         self.sweep_period = sweep_period
-        self.record_latency = record_latency
-        self.latencies_ns: list[int] = []
         self._since_sweep = 0
         self._clock = 0.0
         self._clause_tests: dict[int, Callable] = {}  # by id(clause)
@@ -205,8 +156,6 @@ class Engine:
 
         self._maybe_sweep(arrival_time)
         elapsed = time.perf_counter_ns() - t0
-        if self.record_latency:
-            self.latencies_ns.append(elapsed)
         return Verdict(
             decision=decision,
             matched_rules=matched,
@@ -229,7 +178,8 @@ class Engine:
         tkey = parser.extract_transaction_key(tree)
         tx_class = None
         if tkey is not None:
-            tx_class = self.transactions.update(tkey, tree, arrival_time).tx_class
+            self.transactions.update(tkey, arrival_time)
+            tx_class = "invite" if tkey[1].upper() in ("INVITE", "ACK") else "non-invite"
         return MessageContext(
             tree=tree,
             dialog_key=parser.extract_dialog_key(tree),
@@ -268,17 +218,6 @@ class Engine:
             self.store.expire(now)
             self.transactions.sweep(now)
 
-    def _scope_key(self, scope: Scope, ctx: MessageContext) -> ScopeKey | None:
-        if scope is Scope.GLOBAL:
-            return GLOBAL_KEY
-        if scope is Scope.DIALOG:
-            if ctx.dialog_key is None:
-                return None
-            return ScopeKey.for_dialog(ctx.dialog_key)
-        if ctx.transaction_key is None:
-            return None
-        return ScopeKey.for_transaction(ctx.transaction_key)
-
     def _evaluate(self, ctx: MessageContext) -> tuple[tuple[int, ...], int | None]:
         matched: list[int] = []
         tx_class = ctx.tx_class
@@ -286,23 +225,23 @@ class Engine:
             if phase is not None and phase != tx_class:
                 continue
             for test in tests:
-                if not test(self, ctx):
+                if not test(ctx):
                     break
             else:
                 matched.append(rid)
                 for step in steps:
-                    step(self, ctx)
+                    step(ctx)
                 if drops:
                     return tuple(matched), rid
         return tuple(matched), None
 
     def evaluate_clause(self, clause: Clause, ctx: MessageContext) -> bool:
         """Outcome of one clause of this engine's program on ctx."""
-        return self._clause_tests[id(clause)](self, ctx)
+        return self._clause_tests[id(clause)](ctx)
 
     # ------------------------------------------------------------------
-    # Compiled clauses and actions take the engine as an argument instead
-    # of holding it, so no cycle keeps a dropped engine and its state alive.
+    # Compiled clauses and actions hold the store, never the engine, so no
+    # cycle keeps a dropped engine and its state alive.
 
     def _compile_rule(self, rule: Rule) -> tuple:
         """(rule id, phase or None, clause tests, action steps, drops); steps end at a drop."""
@@ -318,46 +257,61 @@ class Engine:
         phase = None if rule.phase == "any" else rule.phase
         return rule.rule_id, phase, tests, tuple(steps), drops
 
-    def _compile_clause(self, clause: Clause) -> Callable[[Engine, MessageContext], bool]:
-        """The clause as one closure.  An absent subject (field, or scope key
-        of a scoped object) makes it false in both polarities."""
-        neg, kind, store, fid = clause.negated, clause.kind, self.store, clause.field_id
-        if isinstance(clause.target, str):  # a counter's current level
-            counter, scope = clause.target, self.program.declared_objects[clause.target].scope
-            def value(engine: Engine, ctx: MessageContext) -> int | None:
-                key = engine._scope_key(scope, ctx)
+    def _scope_key(self, name: str) -> Callable[[MessageContext], tuple | None]:
+        """Reads the key of object name's scope off a context; None without one."""
+        scope = self.program.declared_objects[name].scope
+        if scope is Scope.GLOBAL:
+            return lambda ctx: GLOBAL_KEY
+        return attrgetter("dialog_key" if scope is Scope.DIALOG else "transaction_key")
+
+    def _value_source(
+        self, target: FieldPath | str, fid: int | None
+    ) -> Callable[[MessageContext], object]:
+        """What a clause tests or a hold: stores: a counter's level, the
+        datagram's source host, or a parse-tree node's value; None when absent."""
+        if isinstance(target, str):  # a counter's current level
+            store, key_of = self.store, self._scope_key(target)
+            def value(ctx: MessageContext) -> int | None:
+                key = key_of(ctx)
                 now = ctx.arrival_time
-                return None if key is None else store.resolve(counter, key, now).counter_value(now)
-        elif clause.target.key() == "FIELDS:net.src_addr":
-            def value(engine: Engine, ctx: MessageContext) -> str | None:
+                return None if key is None else store.resolve(target, key, now).counter_value(now)
+        elif target.key() == "FIELDS:net.src_addr":
+            def value(ctx: MessageContext) -> str | None:
                 return ctx.src_host
         else:
-            def value(engine: Engine, ctx: MessageContext) -> str | None:
+            def value(ctx: MessageContext) -> str | None:
                 node = ctx.tree.nodes.get(fid)
                 return None if node is None else node.value
+        return value
+
+    def _compile_clause(self, clause: Clause) -> Callable[[MessageContext], bool]:
+        """The clause as one closure.  An absent subject (field, or scope key
+        of a scoped object) makes it false in both polarities."""
+        neg, kind, store = clause.negated, clause.kind, self.store
+        value = self._value_source(clause.target, clause.field_id)
 
         if kind is ClauseKind.REGEX:
             search = clause.regex.search
-            def test(engine: Engine, ctx: MessageContext) -> bool:
-                v = value(engine, ctx)
+            def test(ctx: MessageContext) -> bool:
+                v = value(ctx)
                 return v is not None and (search(v) is None) is neg
 
         elif kind is ClauseKind.NORMALIZE:
-            def test(engine: Engine, ctx: MessageContext) -> bool:
-                return value(engine, ctx) is not None  # the cap is applied at parse time
+            def test(ctx: MessageContext) -> bool:
+                return value(ctx) is not None  # the cap is applied at parse time
 
         elif kind is ClauseKind.IN:
             name = clause.object_name
-            scope = self.program.declared_objects[name].scope
-            def test(engine: Engine, ctx: MessageContext) -> bool:
-                v = value(engine, ctx)
-                key = None if v is None else engine._scope_key(scope, ctx)
+            key_of = self._scope_key(name)
+            def test(ctx: MessageContext) -> bool:
+                v = value(ctx)
+                key = None if v is None else key_of(ctx)
                 return key is not None and store.resolve(name, key, ctx.arrival_time).contains(v) != neg
 
         else:
             cmp, operand = _COMPARATORS[kind], clause.operand
-            def test(engine: Engine, ctx: MessageContext) -> bool:
-                v = value(engine, ctx)
+            def test(ctx: MessageContext) -> bool:
+                v = value(ctx)
                 if v is None:
                     return False
                 try:
@@ -368,19 +322,19 @@ class Engine:
 
         return test
 
-    def _compile_action(self, act: Action) -> Callable[[Engine, MessageContext], None]:
+    def _compile_action(self, act: Action) -> Callable[[MessageContext], None]:
         """A hold: or declare: action as one closure, a no-op without a scope key."""
-        name, store, fid = act.name, self.store, act.source_field_id
-        scope = self.program.declared_objects[name].scope
-        def hold(engine: Engine, ctx: MessageContext) -> None:
-            key = engine._scope_key(scope, ctx)
-            node = ctx.tree.nodes.get(fid)
-            if key is not None and node is not None:
-                store.resolve(name, key, ctx.arrival_time).insert(node.value, ctx.arrival_time)
+        name, store, key_of = act.name, self.store, self._scope_key(act.name)
+        if act.kind is ActionKind.HOLD:
+            value = self._value_source(act.source, act.source_field_id)
+            def hold(ctx: MessageContext) -> None:
+                key, v = key_of(ctx), value(ctx)
+                if key is not None and v is not None:
+                    store.resolve(name, key, ctx.arrival_time).insert(v, ctx.arrival_time)
+            return hold
 
-        def count(engine: Engine, ctx: MessageContext) -> None:
-            key = engine._scope_key(scope, ctx)
+        def count(ctx: MessageContext) -> None:
+            key = key_of(ctx)
             if key is not None:
                 store.resolve(name, key, ctx.arrival_time).counter_increment(ctx.arrival_time)
-
-        return hold if act.kind is ActionKind.HOLD else count
+        return count

@@ -19,8 +19,6 @@ __all__ = [
     "FieldPath",
     "ParseNode",
     "ParseTree",
-    "DialogKey",
-    "TransactionKey",
     "SipParser",
     "normalize_value",
     "FIELD_CATALOG",
@@ -110,23 +108,6 @@ class FieldPath:
 
     def __str__(self) -> str:
         return self.key()
-
-
-@dataclass(frozen=True)
-class DialogKey:
-    """Dialog identity: Call-ID plus both tags (empty string while unset)."""
-
-    call_id: str
-    from_tag: str
-    to_tag: str
-
-
-@dataclass(frozen=True)
-class TransactionKey:
-    """Transaction identity: topmost Via branch plus the CSeq method."""
-
-    branch: str
-    cseq_method: str
 
 
 @dataclass
@@ -282,9 +263,6 @@ class SipParser:
         key = path.key() if isinstance(path, FieldPath) else FieldPath.parse(path).key()
         return self._ids.get(key)
 
-    def registered_paths(self) -> tuple[str, ...]:
-        return tuple(self._ids)
-
     def seal(self) -> None:
         """Freeze the registry and precompute the per-header extraction plan."""
         if self._sealed:
@@ -338,22 +316,24 @@ class SipParser:
 
         return ParseTree(kind, method, status, nodes, len(raw))
 
-    def extract_dialog_key(self, tree: ParseTree) -> DialogKey | None:
+    def extract_dialog_key(self, tree: ParseTree) -> tuple[str, str, str] | None:
+        """(call_id, from_tag, to_tag), a missing tag as ""; None without a Call-ID."""
         call_id_id, from_tag_id, to_tag_id, _, _ = self._key_ids or self._key_field_ids()
         call_id = tree.value_of(call_id_id)
         if not call_id:
             return None
         from_tag = tree.value_of(from_tag_id) or ""
         to_tag = tree.value_of(to_tag_id) or ""
-        return DialogKey(call_id, from_tag, to_tag)
+        return call_id, from_tag, to_tag
 
-    def extract_transaction_key(self, tree: ParseTree) -> TransactionKey | None:
+    def extract_transaction_key(self, tree: ParseTree) -> tuple[str, str] | None:
+        """(topmost Via branch, CSeq method); None when either is missing."""
         _, _, _, branch_id, method_id = self._key_ids or self._key_field_ids()
         branch = tree.value_of(branch_id)
         cseq_method = tree.value_of(method_id)
         if not branch or not cseq_method:
             return None
-        return TransactionKey(branch, cseq_method)
+        return branch, cseq_method
 
     # ------------------------------------------------------------------
     # internals

@@ -2,8 +2,8 @@
 
 One socket, one thread.  Arrival times come from a monotonic clock
 started when the proxy comes up, so engine state timing behaves the same
-as in replay.  A relay failure downgrades the message to dropped; it is
-never silently ignored.
+as in replay.  A relay failure is counted in ``relay_failures`` and
+logged, never silently ignored; ``dropped`` counts engine drops only.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ def proxy_run(
                     # fail closed: an unreachable upstream means the message dies
                     log.warning("relay to %s failed: %s", config.upstream, exc)
                     report.relay_failures += 1
-                    report.dropped += 1
     finally:
         sock.close()
     engine.end_of_trace()

@@ -64,9 +64,12 @@ _DECLARE_RE = re.compile(
     r"(?:@(dialog|transaction|global))?$",
     re.IGNORECASE,
 )
-# Patterns whose match can depend on capture groups are rejected so every
-# test stays a single linear scan of the field value.
+# Backreferences are rejected.  That does not bound a test's cost: Python's
+# re backtracks, so a pattern like (a+)+$ or a.*a.*b can take time
+# exponential or polynomial in the value's length.
 _BACKREF_RE = re.compile(r"\\[1-9]|\(\?P=")
+# What a bare target (an empty test) searches for: present and non-empty.
+_NONEMPTY = re.compile(".", re.DOTALL)
 
 
 class RuleError(Exception):
@@ -181,7 +184,6 @@ class RuleProgram:
     schedule: tuple[int, ...]  # rule ids in evaluation order
     declared_objects: dict[str, ContainerDescriptor]
     parser: SipParser
-    normalize_caps: dict[str, int]
 
     def rule(self, rule_id: int) -> Rule:
         return self.rules[rule_id - 1]
@@ -292,7 +294,7 @@ def _parse_test(target: FieldPath | str, text: str, lineno: int) -> Clause:
     if _BACKREF_RE.search(body):
         raise RuleError(lineno, "backreferences are not supported in tests")
     try:
-        compiled = re.compile(body)
+        compiled = re.compile(body) if body else _NONEMPTY
     except re.error as exc:
         raise RuleError(lineno, f"bad regex {body!r}: {exc}") from None
     return Clause(target, negated, ClauseKind.REGEX, pattern=body, regex=compiled)
@@ -519,7 +521,6 @@ def compile_ruleset(
         schedule=order,
         declared_objects=descriptors,
         parser=parser,
-        normalize_caps=caps,
     )
 
 

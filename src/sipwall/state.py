@@ -1,8 +1,10 @@
 """Scoped state containers: sets, lists, bags, and leaky counters.
 
 Instances are addressed by (object name, scope key) and created on first
-touch.  Expiry is lazy: a stale instance is discarded when resolved, and
-bulk sweeps walk the whole table.  All time handling uses the engine
+touch.  A scope key is the plain identity tuple of its scope: GLOBAL_KEY
+(empty), a dialog key (call_id, from_tag, to_tag) or a transaction key
+(branch, cseq_method).  Expiry is lazy: a stale instance is discarded
+when resolved, and bulk sweeps walk the whole table.  All time handling uses the engine
 clock passed in by the caller; nothing here reads the wall clock.
 """
 
@@ -13,12 +15,11 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .parser import DialogKey, FieldPath, TransactionKey, normalize_value
+from .parser import FieldPath, normalize_value
 
 __all__ = [
     "Scope",
     "ContainerKind",
-    "ScopeKey",
     "GLOBAL_KEY",
     "ContainerDescriptor",
     "CounterState",
@@ -52,22 +53,10 @@ DEFAULT_LIFETIMES: dict[Scope, float | None] = {
 DEFAULT_MAX_VALUE_LEN = 1024
 
 
-@dataclass(frozen=True)
-class ScopeKey:
-    scope: Scope
-    dialog: DialogKey | None = None
-    transaction: TransactionKey | None = None
+GLOBAL_KEY: tuple = ()
 
-    @classmethod
-    def for_dialog(cls, key: DialogKey) -> "ScopeKey":
-        return cls(Scope.DIALOG, dialog=key)
-
-    @classmethod
-    def for_transaction(cls, key: TransactionKey) -> "ScopeKey":
-        return cls(Scope.TRANSACTION, transaction=key)
-
-
-GLOBAL_KEY = ScopeKey(Scope.GLOBAL)
+# The scopes' keys differ in length, so a key tells which scope it is for.
+_KEY_LEN = {Scope.GLOBAL: 0, Scope.DIALOG: 3, Scope.TRANSACTION: 2}
 
 
 @dataclass(frozen=True)
@@ -202,37 +191,29 @@ class ContainerInstance:
 class StateStore:
     def __init__(self, descriptors: dict[str, ContainerDescriptor] | None = None):
         self._descriptors: dict[str, ContainerDescriptor] = dict(descriptors or {})
-        self._instances: dict[tuple[str, ScopeKey], ContainerInstance] = {}
+        self._instances: dict[tuple[str, tuple], ContainerInstance] = {}
 
-    def register(self, descriptor: ContainerDescriptor) -> None:
-        if descriptor.name in self._descriptors:
-            raise ValueError(f"duplicate object {descriptor.name}")
-        self._descriptors[descriptor.name] = descriptor
-
-    def descriptor(self, name: str) -> ContainerDescriptor:
-        return self._descriptors[name]
-
-    def resolve(self, name: str, key: ScopeKey, now: float) -> ContainerInstance:
+    def resolve(self, name: str, key: tuple, now: float) -> ContainerInstance:
         """Live instance for (name, key); creates a fresh one on first touch
-        or after expiry."""
-        desc = self._descriptors[name]
-        if key.scope is not desc.scope:
-            raise ValueError(
-                f"object {name} is {desc.scope.value}-scoped, got {key.scope.value} key"
-            )
+        or after expiry.  A key of another scope raises ValueError; it is
+        checked on creation only, since no stored slot can hold such a key."""
         slot = (name, key)
         inst = self._instances.get(slot)
-        if inst is not None and inst.expired(now):
+        if inst is not None:
+            if not inst.expired(now):
+                inst.touch(now)
+                return inst
             del self._instances[slot]
-            inst = None
-        if inst is None:
-            inst = ContainerInstance(desc, now)
-            self._instances[slot] = inst
-        else:
-            inst.touch(now)
+        desc = self._descriptors[name]
+        if len(key) != _KEY_LEN[desc.scope]:
+            raise ValueError(
+                f"object {name} is {desc.scope.value}-scoped, got the key {key!r}"
+            )
+        inst = ContainerInstance(desc, now)
+        self._instances[slot] = inst
         return inst
 
-    def peek(self, name: str, key: ScopeKey) -> ContainerInstance | None:
+    def peek(self, name: str, key: tuple) -> ContainerInstance | None:
         return self._instances.get((name, key))
 
     def expire(self, now: float) -> int:

@@ -299,7 +299,7 @@ def test_c7_state_boundedness(announce):
         parse_ruleset('secsip "FIELDS:sip.method" "^INVITE$" hold:seen=set[FIELDS:sip.from]'),
         scope_lifetimes={Scope.DIALOG: 10.0},
     )
-    engine = Engine(program, record_latency=False)
+    engine = Engine(program)
     messages = 100_000
     rate = 100.0  # synthetic clock: 1000 seconds of traffic
     max_live = 0

@@ -20,9 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from sipwall.engine import Engine
-from sipwall.parser import DialogKey, TransactionKey
 from sipwall.rules import compile_ruleset, parse_ruleset
-from sipwall.state import GLOBAL_KEY, ScopeKey
 
 CMP = {"eq": operator.eq, "gt": operator.gt, "lt": operator.lt,
        "ge": operator.ge, "le": operator.le}
@@ -35,14 +33,14 @@ FIELD_TESTS = {
     "FIELDS:sip.from": ["alice", "tag=t1", "bob"],
     "FIELDS:sip.from.tag": ["^t1$", "t"],
     "FIELDS:sip.call_id": ["^c1", "[@]h$"],
-    "FIELDS:sip.contact": [".", "10\\.0\\.0\\.1"],
+    "FIELDS:sip.contact": [".", "10\\.0\\.0\\.1", ""],  # "" is a bare target
     UA: ["^UA", "lite", "@normalize 5", "@normalize 40"],
     "FIELDS:sip.content_length": ["@gt 10", "@le 12", "@eq 0", "@ge 300", "@lt 5", "^1"],
     "FIELDS:sip.cseq": ["@ge 1", "INVITE$"],  # "N METHOD" is no number
     NET_SRC: ["^10\\.", "^192", "@gt 5"],
 }
 HOLD_SOURCES = ["FIELDS:sip.from", "FIELDS:sip.from.tag", "FIELDS:sip.call_id",
-                "FIELDS:sip.contact", UA]
+                "FIELDS:sip.contact", UA, NET_SRC]
 LIFETIME_FREE_SPAN = 20.0  # seconds of traffic: no state instance can expire
 
 
@@ -72,7 +70,7 @@ class RClause:
         target = f'"{self.target}"' if ":" in self.target else self.target
         neg = "!" if self.negated else ""
         if self.op == "regex":
-            return f'{target} "{neg}{self.arg}"'
+            return target if self.arg == "" and not neg else f'{target} "{neg}{self.arg}"'
         return f'{target} "{neg}@{self.op} {self.arg}"'
 
 
@@ -116,7 +114,7 @@ def random_clause(rng: random.Random, objs: list[Obj]) -> RClause:
         op = rng.choice(list(CMP))
         return RClause(rng.choice(counters).name, neg, op, rng.randint(0, 3))
     if colls and roll < 0.45:
-        target = rng.choice(HOLD_SOURCES + [NET_SRC])
+        target = rng.choice(HOLD_SOURCES)
         return RClause(target, neg, "in", rng.choice(colls).name)
     target = rng.choice(list(FIELD_TESTS))
     test = rng.choice(FIELD_TESTS[target])
@@ -213,7 +211,8 @@ def random_message(rng: random.Random, at: float) -> Msg:
     header("CSeq", "FIELDS:sip.cseq", f"{rng.randint(1, 9)} {cseq_method}")
     fields["FIELDS:sip.cseq.method"] = cseq_method
     if rng.random() < 0.5:
-        header("Contact", "FIELDS:sip.contact", f"<sip:{user}@10.0.0.{rng.randint(1, 3)}>")
+        contact = f"<sip:{user}@10.0.0.{rng.randint(1, 3)}>"
+        header("Contact", "FIELDS:sip.contact", rng.choice((contact, contact, "")))
     if rng.random() < 0.5:
         header("User-Agent", UA, rng.choice(("UA-1 softphone", "xlite 9", "UA")))
     length = rng.choice(("0", "12", "300", "abc", None))
@@ -308,8 +307,12 @@ class Reference:
         if value is None:
             self.seen["absent field"] += 1
             return False
+        if value == "":
+            self.seen["empty value"] += 1
         if c.op == "regex":
-            return (re.search(c.arg, value) is not None) != c.negated
+            # a bare target (empty test) means present and non-empty
+            hit = re.search(c.arg, value) is not None if c.arg else value != ""
+            return hit != c.negated
         if c.op == "normalize":
             return True
         if c.op == "in":
@@ -357,16 +360,9 @@ class Reference:
                 else:
                     value = self.value(msg, act.source)
                     if value is not None:
+                        self.seen["hold from src"] += act.source == NET_SRC
                         self.colls.setdefault(key, []).append(value)
         return "forward", tuple(matched), None
-
-
-def engine_scope_key(obj: Obj, key: tuple) -> ScopeKey:
-    if obj.scope == "global":
-        return GLOBAL_KEY
-    if obj.scope == "dialog":
-        return ScopeKey.for_dialog(DialogKey(*key[1:]))
-    return ScopeKey.for_transaction(TransactionKey(*key[1:]))
 
 
 def test_engine_matches_reference_on_random_programs():
@@ -390,11 +386,11 @@ def test_engine_matches_reference_on_random_programs():
             )
         end = msgs[-1].at
         for key in ref.counters:
-            inst = engine.store.peek(key[0], engine_scope_key(ref.objs[key[0]], key))
+            inst = engine.store.peek(key[0], key[1:])  # the reference keys by (name, *scope key)
             assert inst is not None and inst.counter_value(end) == ref.level(key, end), text
         assert engine.store.live_total() == len(ref.counters) + len(ref.colls), text
         seen += ref.seen
     for situation in ("negated", "absent field", "src given", "src absent",
                       "@in without Call-ID", "non-numeric", "phase skip",
-                      "drop before declare"):
+                      "drop before declare", "empty value", "hold from src"):
         assert seen[situation] > 0, f"{situation} never exercised"

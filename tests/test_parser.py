@@ -4,11 +4,9 @@ import pytest
 
 from sipwall.parser import (
     FIELD_CATALOG,
-    DialogKey,
     FieldPath,
     MalformedMessage,
     SipParser,
-    TransactionKey,
     UnknownFieldError,
     normalize_value,
 )
@@ -276,9 +274,9 @@ class TestRegistry:
 
     def test_catalog_paths_all_register(self):
         parser = SipParser()
-        for key in FIELD_CATALOG:
-            parser.register_field(key)
-        assert len(parser.registered_paths()) == len(FIELD_CATALOG)
+        ids = {key: parser.register_field(key) for key in FIELD_CATALOG}
+        assert len(set(ids.values())) == len(FIELD_CATALOG)
+        assert all(parser.field_id(key) == fid for key, fid in ids.items())
 
 
 class TestNormalize:
@@ -322,12 +320,12 @@ class TestKeys:
     def test_dialog_key_request(self, full_parser):
         tree = full_parser.parse_message(INVITE)
         key = full_parser.extract_dialog_key(tree)
-        assert key == DialogKey("a84b4c76e66710@client.example", "1928301774", "")
+        assert key == ("a84b4c76e66710@client.example", "1928301774", "")
 
     def test_dialog_key_response(self, full_parser):
         tree = full_parser.parse_message(RINGING)
         key = full_parser.extract_dialog_key(tree)
-        assert key == DialogKey("a84b4c76e66710@client.example", "1928301774", "a6c85cf")
+        assert key == ("a84b4c76e66710@client.example", "1928301774", "a6c85cf")
 
     def test_dialog_key_missing_call_id(self, full_parser):
         msg = sipmsg(
@@ -342,7 +340,7 @@ class TestKeys:
     def test_transaction_key(self, full_parser):
         tree = full_parser.parse_message(INVITE)
         key = full_parser.extract_transaction_key(tree)
-        assert key == TransactionKey("z9hG4bK776asdhds", "INVITE")
+        assert key == ("z9hG4bK776asdhds", "INVITE")
 
     def test_transaction_key_missing_branch(self, full_parser):
         msg = sipmsg(

@@ -129,3 +129,38 @@ def test_malformed_datagram_dies_quietly():
         assert report.dropped == 0
     finally:
         harness.close()
+
+
+def test_relay_failure_is_not_an_engine_drop():
+    # the kernel refuses a broadcast send on a socket without SO_BROADCAST,
+    # so the relay fails and no datagram leaves the host
+    listen = (LOOP, free_port())
+    engine = Engine(compile_ruleset(parse_ruleset("")))
+    stop, ready = threading.Event(), threading.Event()
+    result: list[ProxyReport] = []
+    thread = threading.Thread(
+        target=lambda: result.append(
+            proxy_run(
+                ProxyConfig(listen=listen, upstream=("255.255.255.255", listen[1])),
+                engine, stop=stop, ready=ready, poll_interval=0.05,
+            )
+        ),
+        daemon=True,
+    )
+    thread.start()
+    try:
+        assert ready.wait(2.0), "proxy never came up"
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+            client.sendto(gen_bye_attack(calls=1, seed=1)[0].payload, listen)
+        deadline = time.monotonic() + 2.0
+        while engine.stats.processed < 1 and time.monotonic() < deadline:
+            time.sleep(0.02)
+    finally:
+        stop.set()
+        thread.join(2.0)
+    (report,) = result
+    assert report.received == 1
+    assert report.relay_failures == 1
+    assert report.relayed == 0
+    assert report.dropped == 0
+    assert report.engine_snapshot["forwarded"] == 1

@@ -91,8 +91,10 @@ class TestParsing:
     def test_normalize_clause(self):
         (rule,) = parse_ruleset('secsip "FIELDS:sip.uri" "@normalize 64" forward')
         assert rule.clauses[0].kind is ClauseKind.NORMALIZE
-        program = compile_ruleset([rule])
-        assert program.normalize_caps == {"FIELDS:sip.uri": 64}
+        parser = compile_ruleset([rule]).parser
+        raw = b"INVITE sip:" + b"u" * 100 + b"@gw.example SIP/2.0\r\nCall-ID: n@x\r\n\r\n"
+        uri = parser.parse_message(raw).value_of(parser.field_id("FIELDS:sip.uri"))
+        assert uri == "sip:" + "u" * 60  # capped at 64 bytes by the parser
 
     def test_scope_suffixes(self):
         rules = parse_ruleset(
@@ -291,6 +293,18 @@ class TestFormatting:
         rules = parse_ruleset(text)
         reparsed = parse_ruleset(format_ruleset(rules))
         assert reparsed == rules
+
+    def test_roundtrip_bare_target(self):
+        # a bare target prints as an empty test and keeps its meaning
+        rules = parse_ruleset(
+            'secsip FIELDS:sip.contact drop\n'
+            'secsip "FIELDS:sip.to.tag" "!" && "FIELDS:sip.from" forward\n'
+        )
+        reparsed = parse_ruleset(format_ruleset(rules))
+        assert reparsed == rules
+        for clause in (c for r in reparsed for c in r.clauses):
+            assert clause.pattern == ""
+            assert clause.regex.search("") is None and clause.regex.search("x")
 
     def test_format_stable(self):
         rules = parse_ruleset(BYE_RULES)

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from sipwall.parser import DialogKey, FieldPath
+from sipwall.parser import FieldPath
 from sipwall.state import (
     GLOBAL_KEY,
     ContainerDescriptor,
     ContainerKind,
     CounterState,
     Scope,
-    ScopeKey,
     StateStore,
 )
 
@@ -36,8 +35,8 @@ def leaky_oracle(events, leak, interval, t0):
     return reads
 
 
-def dialog_scope(n: int) -> ScopeKey:
-    return ScopeKey.for_dialog(DialogKey(f"call-{n}@x", "f", "t"))
+def dialog_scope(n: int) -> tuple[str, str, str]:
+    return (f"call-{n}@x", "f", "t")
 
 
 def make_store(**overrides) -> tuple[StateStore, ContainerDescriptor]:
@@ -209,8 +208,3 @@ class TestStore:
         store.resolve("c", GLOBAL_KEY, 0.0).counter_increment(0.0)
         assert store.expire(1e9) == 0
         assert store.resolve("c", GLOBAL_KEY, 1e9).counter_value(1e9) == 0
-
-    def test_duplicate_registration_rejected(self):
-        store, desc = make_store()
-        with pytest.raises(ValueError):
-            store.register(desc)
