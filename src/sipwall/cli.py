@@ -17,7 +17,7 @@ import sys
 from importlib.resources import files
 
 from . import bench
-from .engine import Engine
+from .engine import Engine, rule_blocks
 from .gen import GENERATORS
 from .proxy import ProxyConfig, proxy_run
 from .rules import RuleError, RuleProgram, compile_ruleset, format_rule, parse_ruleset
@@ -94,7 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--transaction-lifetime", type=float, default=None)
     run.add_argument("--sweep-period", type=int, default=256)
 
-    check = sub.add_parser("check", help="compile a rule file and print the schedule")
+    check = sub.add_parser(
+        "check", help="compile a rule file and print the schedule and its rule blocks"
+    )
     check.add_argument("--rules", required=True)
 
     bn = sub.add_parser("bench", help="run a benchmark scenario")
@@ -126,6 +128,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         declares = ",".join(sorted(rule.declares)) or "-"
         reads = ",".join(sorted(rule.reads)) or "-"
         print(f"R{rid}: {format_rule(rule)} [declares: {declares}] [reads: {reads}]")
+    for block in rule_blocks(program):
+        bare = [rid for rid, prefix in zip(block.rule_ids, block.prefixes) if prefix is None]
+        how = f"no prefilter, R{bare[0]} has no anchored prefix" if bare else "prefilter"
+        print(f"block R{block.rule_ids[0]}-R{block.rule_ids[-1]} on {block.field}: {how}")
     print(f"schedule ok ({len(program.rules)} rules)")
     return 0
 

@@ -9,10 +9,12 @@ message path.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
+from itertools import compress, groupby, repeat
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 from .parser import FieldPath, MalformedMessage, ParseTree
 from .rules import Action, ActionKind, Clause, ClauseKind, Rule, RuleProgram, _COMPARATORS
@@ -23,6 +25,8 @@ __all__ = [
     "MessageContext",
     "TransactionTracker",
     "Engine",
+    "RuleBlock",
+    "rule_blocks",
 ]
 
 DEFAULT_SWEEP_PERIOD = 256
@@ -86,6 +90,79 @@ class EngineStats:
     drops_by_rule: dict[int, int] = field(default_factory=dict)
 
 
+_SEARCH = re.Pattern.search
+
+# ^, the run of literal characters after it, and the character ending the run
+_ANCHORED_RUN = re.compile(r"\^([^.^$*+?{}\[\]\\|()]*)(.?)")
+
+
+def _anchored_prefix(pattern: str) -> str | None:
+    """A literal that every value pattern matches starts with, or None.
+
+    Only a pattern that starts with ^ and holds no | and no (? has one:
+    on Python 3.10 an inline flag such as (?m) applies to the whole
+    pattern even when it comes later.  The prefix runs up to the first
+    special character; a quantifier there applies to the last literal,
+    which is then dropped.
+    """
+    run = None if "|" in pattern or "(?" in pattern else _ANCHORED_RUN.match(pattern)
+    if run is None:
+        return None
+    prefix, stop = run.groups()
+    if stop and stop in "*+?{":
+        prefix = prefix[:-1]
+    return prefix or None
+
+
+class RuleBlock(NamedTuple):
+    """Two or more consecutive scheduled rules whose first clause is a
+    non-negated regex on the same value source."""
+
+    rule_ids: tuple[int, ...]
+    field: str  # the clause target's key
+    prefixes: tuple[str | None, ...]  # each member's anchored prefix, or None
+
+
+def _block_field(rule: Rule) -> int | None:
+    """The field id a rule's first clause searches, if that clause is a
+    non-negated regex."""
+    first = rule.clauses[0] if rule.clauses else None
+    if first is None or first.kind is not ClauseKind.REGEX or first.negated:
+        return None
+    return first.field_id
+
+
+def _schedule_runs(program: RuleProgram) -> Iterator[RuleBlock | tuple[int, ...]]:
+    """The schedule in order, as rule blocks and the tuples of rule ids
+    between them."""
+    loose: list[int] = []
+    for fid, group in groupby(program.schedule, lambda rid: _block_field(program.rule(rid))):
+        rids = tuple(group)
+        if fid is None or len(rids) < 2:
+            loose.extend(rids)
+            continue
+        if loose:
+            yield tuple(loose)
+            loose = []
+        firsts = [program.rule(rid).clauses[0] for rid in rids]
+        prefixes = tuple(_anchored_prefix(first.regex.pattern) for first in firsts)
+        yield RuleBlock(rids, firsts[0].target.key(), prefixes)
+    if loose:
+        yield tuple(loose)
+
+
+def rule_blocks(program: RuleProgram) -> list[RuleBlock]:
+    """The blocks the engine evaluates program's schedule in."""
+    return [run for run in _schedule_runs(program) if isinstance(run, RuleBlock)]
+
+
+class _Block(NamedTuple):
+    value: Callable[[MessageContext], object]  # the members' first-clause subject
+    prefixes: tuple[str, ...]  # a value starting with none of these hits no member
+    patterns: tuple[re.Pattern, ...]  # each member's first-clause regex
+    members: tuple[tuple, ...]  # each member's rule entry without that clause
+
+
 class Engine:
     def __init__(
         self,
@@ -102,7 +179,7 @@ class Engine:
         self._since_sweep = 0
         self._clock = 0.0
         self._clause_tests: dict[int, Callable] = {}  # by id(clause)
-        self._plan = tuple(self._compile_rule(program.rule(rid)) for rid in program.schedule)
+        self._plan = tuple(map(self._compile_run, _schedule_runs(program)))
 
     # ------------------------------------------------------------------
 
@@ -221,18 +298,27 @@ class Engine:
     def _evaluate(self, ctx: MessageContext) -> tuple[tuple[int, ...], int | None]:
         matched: list[int] = []
         tx_class = ctx.tx_class
-        for rid, phase, tests, steps, drops in self._plan:
-            if phase is not None and phase != tx_class:
-                continue
-            for test in tests:
-                if not test(ctx):
-                    break
-            else:
-                matched.append(rid)
-                for step in steps:
-                    step(ctx)
-                if drops:
-                    return tuple(matched), rid
+        for run in self._plan:
+            if run.__class__ is _Block:
+                # a first clause has no side effects: one C-level pass of
+                # bare searches picks the members to run, in schedule order
+                value, prefixes, patterns, members = run
+                v = value(ctx)
+                if v is None or not v.startswith(prefixes):
+                    continue
+                run = list(compress(members, map(_SEARCH, patterns, repeat(v))))
+            for rid, phase, tests, steps, drops in run:
+                if phase is not None and phase != tx_class:
+                    continue
+                for test in tests:
+                    if not test(ctx):
+                        break
+                else:
+                    matched.append(rid)
+                    for step in steps:
+                        step(ctx)
+                    if drops:
+                        return tuple(matched), rid
         return tuple(matched), None
 
     def evaluate_clause(self, clause: Clause, ctx: MessageContext) -> bool:
@@ -242,6 +328,25 @@ class Engine:
     # ------------------------------------------------------------------
     # Compiled clauses and actions hold the store, never the engine, so no
     # cycle keeps a dropped engine and its state alive.
+
+    def _compile_run(self, run: RuleBlock | tuple[int, ...]) -> _Block | tuple:
+        """A tuple of rule entries, or a _Block for a rule block."""
+        rule = self.program.rule
+        if not isinstance(run, RuleBlock):
+            return tuple(self._compile_rule(rule(rid)) for rid in run)
+        members = []
+        for rid in run.rule_ids:
+            rid, phase, tests, steps, drops = self._compile_rule(rule(rid))
+            members.append((rid, phase, tests[1:], steps, drops))
+        firsts = [rule(rid).clauses[0] for rid in run.rule_ids]
+        # an empty prefix passes every value
+        prefixes = ("",) if None in run.prefixes else tuple(dict.fromkeys(run.prefixes))
+        return _Block(
+            self._value_source(firsts[0].target, firsts[0].field_id),
+            prefixes,
+            tuple(first.regex for first in firsts),
+            tuple(members),
+        )
 
     def _compile_rule(self, rule: Rule) -> tuple:
         """(rule id, phase or None, clause tests, action steps, drops); steps end at a drop."""

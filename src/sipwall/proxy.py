@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -21,6 +22,10 @@ __all__ = ["ProxyConfig", "ProxyReport", "proxy_run"]
 log = logging.getLogger(__name__)
 
 _RECV_BUF = 65535
+# Kernel receive buffer asked for, in bytes.  The default (about 208 KiB on
+# Linux) holds under a hundred small datagrams, a few tens of ms of a busy
+# link, so a sweep or scheduler stall lost datagrams; this holds seconds.
+_SOCKET_RCVBUF = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -51,10 +56,12 @@ def proxy_run(
     ready: threading.Event | None = None,
     poll_interval: float = 0.25,
 ) -> ProxyReport:
-    """Run until the stop event is set (or KeyboardInterrupt)."""
+    """Run until the stop event is set (or KeyboardInterrupt, which still
+    returns the report)."""
     report = ProxyReport()
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
+        _ask_receive_buffer(sock)
         sock.bind(config.listen)
         sock.settimeout(poll_interval)
         if ready is not None:
@@ -65,8 +72,6 @@ def proxy_run(
                 data, addr = sock.recvfrom(_RECV_BUF)
             except socket.timeout:
                 continue
-            except KeyboardInterrupt:
-                break
             arrival = time.monotonic() - t0
             verdict = engine.process_message(
                 data, direction="in", src=addr, dst=config.listen, arrival_time=arrival
@@ -84,8 +89,28 @@ def proxy_run(
                     # fail closed: an unreachable upstream means the message dies
                     log.warning("relay to %s failed: %s", config.upstream, exc)
                     report.relay_failures += 1
+    except KeyboardInterrupt:
+        pass  # ctrl-c anywhere (receive, inspect, relay) still ends with the report
     finally:
         sock.close()
     engine.end_of_trace()
     report.engine_snapshot = engine.snapshot()
     return report
+
+
+def _ask_receive_buffer(sock: socket.socket) -> None:
+    """Ask for a _SOCKET_RCVBUF receive buffer; warn when the kernel grants
+    less (on Linux, net.core.rmem_max caps it)."""
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _SOCKET_RCVBUF)
+    except OSError as exc:
+        log.warning("cannot set a %d-byte receive buffer: %s", _SOCKET_RCVBUF, exc)
+        return
+    granted = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+    if sys.platform.startswith("linux"):
+        granted //= 2  # Linux doubles what it grants, for bookkeeping, and reports that
+    if granted < _SOCKET_RCVBUF:
+        log.warning(
+            "receive buffer is %d bytes, not the %d asked for; bursts may be lost",
+            granted, _SOCKET_RCVBUF,
+        )

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from sipwall.bench import CSV_HEADER
+from sipwall.bench import CSV_HEADER, synthetic_ruleset
 from sipwall.cli import builtin_ruleset, main
 
 
@@ -26,6 +26,32 @@ class TestCheck:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("R2:")  # declarer first
         assert out[1].startswith("R1:")
+
+    def test_blocks_after_schedule(self, capsys, tmp_path):
+        path = tmp_path / "synthetic.rules"
+        path.write_text(synthetic_ruleset(256))
+        assert main(["check", "--rules", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        blocks = [line for line in out if line.startswith("block ")]
+        assert blocks == ["block R1-R255 on FIELDS:sip.user_agent: prefilter"]
+        assert out[-2:] == blocks + ["schedule ok (256 rules)"]
+
+    def test_block_without_prefilter_names_first_bare_member(self, capsys, tmp_path):
+        path = tmp_path / "mixed.rules"
+        path.write_text(
+            'secsip "FIELDS:sip.method" "^INVITE$" forward\n'
+            'secsip "FIELDS:sip.method" "BYE" forward\n'
+            'secsip "FIELDS:sip.method" "^ACK" forward\n'
+            'secsip "FIELDS:sip.method" "." forward\n'
+        )
+        assert main(["check", "--rules", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "block R1-R4 on FIELDS:sip.method: no prefilter, R2 has no anchored prefix" in out
+
+    def test_no_blocks_in_bye_attack(self, capsys):
+        assert main(["check", "--rules", "builtin:bye_attack"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert not [line for line in out if line.startswith("block ")]
 
     def test_compile_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.rules"

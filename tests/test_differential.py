@@ -6,7 +6,9 @@ construction, nothing is parsed back) and its own model of state.  It
 uses nothing from sipwall but the public result types it compares
 against.  Random programs run over random traffic through both, and
 every verdict, every counter and the number of live state instances
-must agree.
+must agree.  The generator also emits runs of rules that test one field
+first, which the engine evaluates as rule blocks; the reference knows
+nothing of blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from sipwall.engine import Engine
+from sipwall.engine import Engine, _anchored_prefix, rule_blocks
 from sipwall.rules import compile_ruleset, parse_ruleset
 
 CMP = {"eq": operator.eq, "gt": operator.gt, "lt": operator.lt,
@@ -38,6 +40,15 @@ FIELD_TESTS = {
     "FIELDS:sip.content_length": ["@gt 10", "@le 12", "@eq 0", "@ge 300", "@lt 5", "^1"],
     "FIELDS:sip.cseq": ["@ge 1", "INVITE$"],  # "N METHOD" is no number
     NET_SRC: ["^10\\.", "^192", "@gt 5"],
+}
+# first tests of a run of rules on one field: anchored, unanchored and
+# bare ("") patterns; ^OPTIONSx* and ^xlitez? keep a prefix only without
+# their quantified last literal, ^c{1}3 has none
+BLOCK_TESTS = {
+    "FIELDS:sip.method": ["^INVITE$", "^BYE$", "^INV", "^OPTIONSx*", "I", ""],
+    UA: ["^UA", "^xlitez?", "^UA-1", "lite", ""],
+    NET_SRC: ["^10\\.", "^192", "5$"],
+    "FIELDS:sip.call_id": ["^c1", "^c2@", "[@]h$", "^c{1}3"],
 }
 HOLD_SOURCES = ["FIELDS:sip.from", "FIELDS:sip.from.tag", "FIELDS:sip.call_id",
                 "FIELDS:sip.contact", UA, NET_SRC]
@@ -105,17 +116,26 @@ class RRule:
                 for c in self.clauses if c.op == "in" or ":" not in c.target}
 
 
-def random_clause(rng: random.Random, objs: list[Obj]) -> RClause:
+def state_clause(rng: random.Random, objs: list[Obj], roll: float) -> RClause | None:
+    """A counter comparison (roll < 0.2) or an @in read (roll < 0.45) of
+    an object in objs, if there is one to read."""
     neg = rng.random() < 0.4
     colls = [o for o in objs if o.kind != "counter"]
     counters = [o for o in objs if o.kind == "counter"]
-    roll = rng.random()
     if counters and roll < 0.2:
         op = rng.choice(list(CMP))
         return RClause(rng.choice(counters).name, neg, op, rng.randint(0, 3))
     if colls and roll < 0.45:
         target = rng.choice(HOLD_SOURCES)
         return RClause(target, neg, "in", rng.choice(colls).name)
+    return None
+
+
+def random_clause(rng: random.Random, objs: list[Obj]) -> RClause:
+    read = state_clause(rng, objs, rng.random())
+    if read is not None:
+        return read
+    neg = rng.random() < 0.4
     target = rng.choice(list(FIELD_TESTS))
     test = rng.choice(FIELD_TESTS[target])
     if not test.startswith("@"):
@@ -124,43 +144,68 @@ def random_clause(rng: random.Random, objs: list[Obj]) -> RClause:
     return RClause(target, neg and op != "normalize", op, int(arg))
 
 
+def random_rule(rng: random.Random, objs: list[Obj], clauses: list[RClause]) -> RRule:
+    """A rule with these clauses, random actions and a random phase;
+    objects it declares are appended to objs."""
+    actions: list = []
+    for _ in range(rng.randint(0, 2)):
+        name = f"o{len(objs)}"
+        if rng.random() < 0.5:
+            obj = Obj(name, "counter", rng.choice(("global", "dialog", "transaction")),
+                      leak=rng.randint(0, 2), interval=rng.randint(1, 4))
+        else:
+            obj = Obj(name, rng.choice(("set", "list", "bag")),
+                      rng.choice(("dialog", "dialog", "transaction", "global")),
+                      source=rng.choice(HOLD_SOURCES))
+        objs.append(obj)
+        actions.append(obj)
+    if rng.random() < 0.5:
+        actions.insert(rng.randint(0, len(actions)), "drop")  # may precede a declare
+    if rng.random() < 0.2:
+        actions.insert(rng.randint(0, len(actions)), "forward")
+    if not clauses and not any(isinstance(a, Obj) for a in actions):
+        objs.append(Obj(f"o{len(objs)}", "counter", "global"))
+        actions.append(objs[-1])  # a rule without clauses must declare
+    if not actions:
+        actions.append("forward")
+    phase = rng.choice(("any", "any", "any", "invite", "non-invite"))
+    return RRule(0, phase, clauses, actions)
+
+
+def block_run(rng: random.Random, objs: list[Obj]) -> list[RRule]:
+    """2-4 rules whose first clause is a plain regex on one field, most
+    with an @in or counter read as the second."""
+    target = rng.choice(list(BLOCK_TESTS))
+    run = []
+    for _ in range(rng.randint(2, 4)):
+        clauses = [RClause(target, False, "regex", rng.choice(BLOCK_TESTS[target]))]
+        read = state_clause(rng, objs, rng.random() * 0.5)
+        if read is not None and rng.random() < 0.8:
+            clauses.append(read)
+        elif rng.random() < 0.3:
+            clauses.append(random_clause(rng, objs))
+        run.append(random_rule(rng, objs, clauses))
+    return run
+
+
 def random_program(rng: random.Random) -> list[RRule]:
     """Rules that read only objects declared by earlier ones, so the
-    dependency graph is acyclic; returned in shuffled source order."""
+    dependency graph is acyclic; returned in shuffled source order, with
+    each block run kept together."""
     objs: list[Obj] = []
-    rules = []
-    for rid in range(1, rng.randint(2, 7) + 1):
-        clauses = [random_clause(rng, objs) for _ in range(rng.choice((0, 1, 1, 2, 2, 3)))]
-        actions: list = []
-        for _ in range(rng.randint(0, 2)):
-            name = f"o{len(objs)}"
-            if rng.random() < 0.5:
-                obj = Obj(name, "counter", rng.choice(("global", "dialog", "transaction")),
-                          leak=rng.randint(0, 2), interval=rng.randint(1, 4))
-            else:
-                obj = Obj(name, rng.choice(("set", "list", "bag")),
-                          rng.choice(("dialog", "dialog", "transaction", "global")),
-                          source=rng.choice(HOLD_SOURCES))
-            objs.append(obj)
-            actions.append(obj)
-        if rng.random() < 0.5:
-            actions.insert(rng.randint(0, len(actions)), "drop")  # may precede a declare
-        if rng.random() < 0.2:
-            actions.insert(rng.randint(0, len(actions)), "forward")
-        if not clauses and not any(isinstance(a, Obj) for a in actions):
-            objs.append(Obj(f"o{len(objs)}", "counter", "global"))
-            actions.append(objs[-1])  # a rule without clauses must declare
-        if not actions:
-            actions.append("forward")
-        phase = rng.choice(("any", "any", "any", "invite", "non-invite"))
-        rules.append(RRule(rid, phase, clauses, actions))
-    order = list(range(len(rules)))
-    rng.shuffle(order)
+    groups = []
+    for _ in range(rng.randint(2, 7)):
+        if rng.random() < 0.3:
+            groups.append(block_run(rng, objs))
+        else:
+            clauses = [random_clause(rng, objs) for _ in range(rng.choice((0, 1, 1, 2, 2, 3)))]
+            groups.append([random_rule(rng, objs, clauses)])
+    rng.shuffle(groups)
+    rules = [rule for group in groups for rule in group]
     # ids follow source order, as the compiler assigns them
-    shuffled = [rules[i] for i in order]
-    for new_id, rule in enumerate(shuffled, 1):
-        rule.rid = new_id
-    return shuffled
+    for rid, rule in enumerate(rules, 1):
+        rule.rid = rid
+    return rules
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +299,11 @@ def reference_schedule(rules: list[RRule]) -> list[RRule]:
     return order
 
 
+def regex_hit(pattern: str, value: str) -> bool:
+    # a bare target (empty test) means present and non-empty
+    return re.search(pattern, value) is not None if pattern else value != ""
+
+
 @dataclass
 class Reference:
     rules: list[RRule]
@@ -310,9 +360,7 @@ class Reference:
         if value == "":
             self.seen["empty value"] += 1
         if c.op == "regex":
-            # a bare target (empty test) means present and non-empty
-            hit = re.search(c.arg, value) is not None if c.arg else value != ""
-            return hit != c.negated
+            return regex_hit(c.arg, value) != c.negated
         if c.op == "normalize":
             return True
         if c.op == "in":
@@ -365,6 +413,27 @@ class Reference:
         return "forward", tuple(matched), None
 
 
+def block_situations(program, rules: list[RRule], ref: Reference, msg: Msg,
+                     dropping: int | None) -> list[str]:
+    """How each rule block the engine forms fares on msg, judged from the
+    reference's values; blocks after the dropping rule are not reached."""
+    position = {rid: i for i, rid in enumerate(program.schedule)}
+    out = []
+    for block in rule_blocks(program):
+        if dropping is not None and position[dropping] < position[block.rule_ids[0]]:
+            continue
+        value = ref.value(msg, block.field)
+        if value is None:
+            out.append("block absent")
+        elif None not in block.prefixes and not value.startswith(block.prefixes):
+            out.append("prefilter skip")
+        elif any(regex_hit(rules[rid - 1].clauses[0].arg, value) for rid in block.rule_ids):
+            out.append("block hit")
+        else:
+            out.append("block miss")
+    return out
+
+
 def test_engine_matches_reference_on_random_programs():
     rng = random.Random(20091)
     seen: Counter = Counter()
@@ -372,8 +441,13 @@ def test_engine_matches_reference_on_random_programs():
     for _ in range(programs):
         rules = random_program(rng)
         text = "\n".join(r.text() for r in rules)
-        engine = Engine(compile_ruleset(parse_ruleset(text)))
+        program = compile_ruleset(parse_ruleset(text))
+        engine = Engine(program)
         ref = Reference(rules)
+        for block in rule_blocks(program):
+            seen["block"] += 1
+            if None in block.prefixes and any(block.prefixes):
+                seen["mixed block without prefilter"] += 1
         msgs = [random_message(rng, i * 0.25) for i in range(int(LIFETIME_FREE_SPAN / 0.25))]
         for i, msg in enumerate(msgs):
             got = engine.process_message(
@@ -384,6 +458,7 @@ def test_engine_matches_reference_on_random_programs():
             assert (got.decision, got.matched_rules, got.dropping_rule) == want, (
                 f"message {i} under\n{text}\n{msg.raw.decode()}"
             )
+            seen.update(block_situations(program, rules, ref, msg, want[2]))
         end = msgs[-1].at
         for key in ref.counters:
             inst = engine.store.peek(key[0], key[1:])  # the reference keys by (name, *scope key)
@@ -392,5 +467,61 @@ def test_engine_matches_reference_on_random_programs():
         seen += ref.seen
     for situation in ("negated", "absent field", "src given", "src absent",
                       "@in without Call-ID", "non-numeric", "phase skip",
-                      "drop before declare", "empty value", "hold from src"):
+                      "drop before declare", "empty value", "hold from src",
+                      "block hit", "block miss", "prefilter skip",
+                      "mixed block without prefilter"):
         assert seen[situation] > 0, f"{situation} never exercised"
+
+
+# ----------------------------------------------------------------------
+# the anchored prefix the engine prefilters a block with
+# ----------------------------------------------------------------------
+
+
+def random_pattern(rng: random.Random) -> str:
+    """From a small grammar: an optional leading inline flag and ^, a few
+    literals, maybe a quantifier after the last, then dots, classes,
+    escapes, groups, $ and maybe an alternative."""
+    parts = []
+    if rng.random() < 0.15:
+        parts.append(rng.choice(("(?i)", "(?m)", "(?s)", "(?x)")))
+    if rng.random() < 0.85:
+        parts.append("^")
+    parts += rng.choices("abc \t", k=rng.randint(0, 3))
+    if rng.random() < 0.5:
+        parts.append(rng.choice(("*", "+", "?", "*?", "{0,2}", "{1,2}", "{2}")))
+    parts += rng.choices((".", "a", "b", "[ab]", "[^a]", "\\t", "\\.", "\\s", "\\w",
+                          "(ab)", "(?:b|c)", "$", "\\n"), k=rng.randint(0, 2))
+    if rng.random() < 0.2:
+        parts += ["|", rng.choice("abc")]
+    return "".join(parts)
+
+
+def random_subject(rng: random.Random, pattern: str) -> str:
+    """The pattern's literals, cut and salted, folded values among them."""
+    letters = [ch for ch in pattern if ch in "abc \t"]
+    cut = rng.randint(0, len(letters))
+    base = rng.choice((letters, letters[:cut], letters[cut:], ["x"] + letters, []))
+    out = list(base)
+    for _ in range(rng.randint(0, 3)):
+        out.insert(rng.randint(0, len(out)), rng.choice(("a", "b", "c", "A", ".", "\r\n\t", "\n", "\t", " ")))
+    return "".join(out)
+
+
+def test_anchored_prefix_is_implied_by_every_match():
+    rng = random.Random(16)
+    hits_with_prefix = 0
+    for _ in range(3000):
+        pattern = random_pattern(rng)
+        try:
+            compiled = re.compile(pattern)
+        except re.error:
+            continue
+        prefix = _anchored_prefix(pattern)
+        assert prefix != "", pattern  # an empty prefix is reported as None
+        for _ in range(20):
+            subject = random_subject(rng, pattern)
+            if prefix is not None and compiled.search(subject) is not None:
+                assert subject.startswith(prefix), (pattern, subject, prefix)
+                hits_with_prefix += 1
+    assert hits_with_prefix > 1000

@@ -8,7 +8,7 @@ import pytest
 
 from sipwall.cli import builtin_ruleset
 from sipwall.engine import Engine
-from sipwall.gen import gen_bye_attack
+from sipwall.gen import gen_bye_attack, gen_invite_flood
 from sipwall.proxy import ProxyConfig, ProxyReport, proxy_run
 from sipwall.rules import compile_ruleset, parse_ruleset
 
@@ -24,11 +24,12 @@ def free_port() -> int:
 class ProxyHarness:
     """Upstream sink plus a proxy thread, torn down in close()."""
 
-    def __init__(self, ruleset: str):
+    def __init__(self, ruleset: str, engine_type: type[Engine] = Engine):
         self.upstream_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.upstream_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4 << 20)
         self.upstream_sock.bind((LOOP, 0))
         self.upstream_sock.settimeout(2.0)
-        self.engine = Engine(compile_ruleset(parse_ruleset(ruleset)))
+        self.engine = engine_type(compile_ruleset(parse_ruleset(ruleset)))
         self.config = ProxyConfig(
             listen=(LOOP, free_port()),
             upstream=self.upstream_sock.getsockname(),
@@ -164,3 +165,70 @@ def test_relay_failure_is_not_an_engine_drop():
     assert report.relayed == 0
     assert report.dropped == 0
     assert report.engine_snapshot["forwarded"] == 1
+
+
+def _rmem_max() -> int:
+    try:
+        with open("/proc/sys/net/core/rmem_max", encoding="ascii") as fh:
+            return int(fh.read())
+    except OSError:
+        return 0
+
+
+@pytest.mark.skipif(_rmem_max() < 4 << 20, reason="net.core.rmem_max caps receive buffers below 4 MiB")
+def test_burst_during_a_stall_is_not_lost():
+    # the engine stalls on its first message while 2,000 datagrams queue up
+    # in the listen socket's receive buffer
+    gate = threading.Event()
+
+    class StalledEngine(Engine):
+        def process_message(self, raw, **kwargs):
+            gate.wait(10.0)
+            return super().process_message(raw, **kwargs)
+
+    harness = ProxyHarness("", StalledEngine)
+    try:
+        records = gen_invite_flood(count=2000, rate=2000.0, seed=3)
+        harness._expected = len(records)
+        for rec in records:
+            harness.send(rec.payload)
+        gate.set()
+        deadline = time.monotonic() + 20.0
+        while harness.engine.stats.processed < len(records) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        report = harness.finish()
+        assert report.received == len(records)
+        assert report.relayed == len(records)
+        harness.upstream_sock.settimeout(0.5)
+        arrived = 0
+        with pytest.raises(socket.timeout):
+            while True:
+                harness.recv_upstream()
+                arrived += 1
+        assert arrived == len(records)
+    finally:
+        harness.close()
+
+
+def test_ctrl_c_in_inspection_keeps_the_report():
+    class InterruptedEngine(Engine):
+        calls = 0
+
+        def process_message(self, raw, **kwargs):
+            InterruptedEngine.calls += 1
+            if InterruptedEngine.calls == 3:
+                raise KeyboardInterrupt
+            return super().process_message(raw, **kwargs)
+
+    harness = ProxyHarness("", InterruptedEngine)
+    try:
+        for rec in gen_bye_attack(calls=1, seed=1)[:3]:
+            harness.send(rec.payload)
+        harness.thread.join(5.0)
+        assert harness.result, "proxy_run did not return after KeyboardInterrupt"
+        (report,) = harness.result
+        assert report.received == 2
+        assert report.relayed == 2
+        assert report.engine_snapshot["processed"] == 2
+    finally:
+        harness.close()
