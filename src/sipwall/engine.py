@@ -411,7 +411,10 @@ class Engine:
             def test(ctx: MessageContext) -> bool:
                 v = value(ctx)
                 key = None if v is None else key_of(ctx)
-                return key is not None and store.resolve(name, key, ctx.arrival_time).contains(v) != neg
+                if key is None:
+                    return False
+                inst = store.resolve(name, key, ctx.arrival_time, create=False)
+                return (inst is not None and inst.contains(v)) != neg  # no instance: v is not in it
 
         else:
             cmp, operand = _COMPARATORS[kind], clause.operand

@@ -11,7 +11,7 @@ the raw slice can always be recovered from the parse tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "MalformedMessage",
@@ -61,8 +61,32 @@ FIELD_CATALOG: dict[str, tuple[str, str, str]] = {
     "BODY:raw": ("text", "@body", ""),
 }
 
-# Short header forms are expanded before the family lookup.
-_COMPACT = {"f": "from", "t": "to", "i": "call-id", "v": "via"}
+# Short header forms (RFC 3261 section 7.3.3) of the catalog's header families.
+_COMPACT = {"f": "from", "t": "to", "i": "call-id", "v": "via", "m": "contact",
+            "l": "content-length"}
+
+# Every name of each header family the catalog addresses, lowercase: the
+# full name, then its compact forms.
+_HEADER_NAMES: dict[str, tuple[bytes, ...]] = {
+    family: (family.encode(), *(c.encode() for c, f in _COMPACT.items() if f == family))
+    for _, family, _ in FIELD_CATALOG.values()
+    if not family.startswith("@")
+}
+
+# A header line of a catalog family, matched from the newline before it in
+# a lowercased copy of the header section (faster than IGNORECASE, and the
+# name comes out lowercase).  The line's first byte is no blank (a line that
+# starts with one continues the header above), the name is what
+# bytes.strip() leaves before the first colon, and the value skips its
+# leading blanks and runs to the end of the line, folded continuation lines
+# included.
+_HEADER_RE = re.compile(
+    rb"\n(?![ \t])[ \t\r\x0b\x0c]*("
+    + b"|".join(re.escape(name) for names in _HEADER_NAMES.values() for name in names)
+    + rb")[ \t\r\x0b\x0c]*:(?:[ \t\r]|\n(?=[ \t]))*([^\n]*(?:\n[ \t][^\n]*)*)"
+)
+# The blank line that ends the header section, searched from the newline before it.
+_BLANK_LINE_RE = re.compile(rb"\n\r?(?:\n|\Z)")
 
 _REQUEST_RE = re.compile(
     rb"^([A-Za-z][A-Za-z0-9.!%*_+`'~-]*)[ \t]+([^ \t]+)[ \t]+SIP/\d+\.\d+[ \t]*$"
@@ -70,7 +94,8 @@ _REQUEST_RE = re.compile(
 _RESPONSE_RE = re.compile(rb"^SIP/\d+\.\d+[ \t]+(\d{3})(?:[ \t]+(.*))?$")
 
 _TAG_RE = re.compile(rb"(?:^|[;?])[ \t]*tag[ \t]*=[ \t]*([^;>,\s]+)", re.IGNORECASE)
-_BRANCH_RE = re.compile(rb"branch[ \t]*=[ \t]*([^;,\s]+)", re.IGNORECASE)
+# a parameter: after a semicolon, so a look-alike such as xbranch= is no branch
+_BRANCH_RE = re.compile(rb";\s*branch\s*=\s*([^;,\s]+)", re.IGNORECASE)
 # applied with .match(raw, pos), which anchors at pos; no ^ (it would pin to offset 0)
 _CSEQ_RE = re.compile(rb"(\d+)[ \t]+([^ \t\r\n]+)")
 
@@ -110,7 +135,7 @@ class FieldPath:
         return self.key()
 
 
-@dataclass
+@dataclass(slots=True)
 class ParseNode:
     """One extracted field: byte span in the datagram plus the decoded value."""
 
@@ -119,7 +144,7 @@ class ParseNode:
     start: int
     end: int
     value: str
-    children: list["ParseNode"] = field(default_factory=list)
+    children: tuple["ParseNode", ...] = ()
 
 
 @dataclass
@@ -163,10 +188,13 @@ def normalize_value(value: str, max_len: int) -> str:
     return data[: _truncate_len(data, max_len)].decode("utf-8")
 
 
+_BLANKS = b" \t\r\n"
+
+
 def _trim_span(raw: bytes, start: int, end: int) -> tuple[int, int]:
-    while start < end and raw[start] in (0x20, 0x09, 0x0D, 0x0A):
+    while start < end and raw[start] in _BLANKS:
         start += 1
-    while end > start and raw[end - 1] in (0x20, 0x09, 0x0D, 0x0A):
+    while end > start and raw[end - 1] in _BLANKS:
         end -= 1
     return start, end
 
@@ -212,6 +240,45 @@ def _tag_span(raw: bytes, start: int, end: int) -> tuple[int, int] | None:
     return m.span(1)
 
 
+def _branch_span(raw: bytes, start: int, end: int) -> tuple[int, int] | None:
+    m = _BRANCH_RE.search(raw, start, end)
+    return None if m is None else m.span(1)
+
+
+def _cseq_method_span(raw: bytes, start: int, end: int) -> tuple[int, int] | None:
+    m = _CSEQ_RE.match(raw, start, end)
+    return None if m is None else m.span(2)
+
+
+# Sub-part -> (its rank among its parent node's children, where it lies
+# inside its header's value).
+_PART_SPAN = {"addr": (0, _addr_host_span), "tag": (1, _tag_span),
+              "branch": (2, _branch_span), "method": (3, _cseq_method_span)}
+
+
+def _catalog_key(path: FieldPath | str) -> str:
+    if isinstance(path, str):
+        if path in FIELD_CATALOG:  # already in canonical form
+            return path
+        path = FieldPath.parse(path)
+    key = path.key()
+    if key not in FIELD_CATALOG:
+        raise UnknownFieldError(f"unknown field {key}")
+    return key
+
+
+# What seal() plans for one field: (field id, value type, @normalize cap or None).
+_Entry = tuple[int, str, "int | None"]
+
+
+def _node(raw: bytes, entry: _Entry, start: int, end: int) -> ParseNode:
+    fid, ftype, cap = entry
+    if cap is not None and end - start > cap:
+        end = start + _truncate_len(raw[start:end], cap)
+        start, end = _trim_span(raw, start, end)
+    return ParseNode(fid, ftype, start, end, raw[start:end].decode("utf-8", "replace").strip())
+
+
 class SipParser:
     """Registry-driven lazy parser.
 
@@ -223,39 +290,34 @@ class SipParser:
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
-        self._paths: dict[int, FieldPath] = {}
         self._caps: dict[str, int] = {}
         self._sealed = False
-        self._header_plan: dict[str, dict[str, tuple[int, str]]] = {}
-        self._start_plan: dict[str, tuple[int, str]] = {}
-        self._body_field: tuple[int, str] | None = None
-        self._key_ids: tuple[int | None, ...] | None = None  # set by seal()
+        # set by seal(): start-line part -> entry, header name -> the plan of
+        # its family ([bit, entry of the whole value or None, [(rank, span,
+        # entry) per sub-part]]), and the body's entry
+        self._start_plan: dict[str, _Entry] = {}
+        self._header_plans: dict[bytes, list] = {}
+        self._body_entry: _Entry | None = None
+        self._key_ids: tuple[int | None, ...] | None = None
         self.parse_events = 0
 
     def register_field(self, path: FieldPath | str) -> int:
         if self._sealed:
             raise RuntimeError("cannot register fields after parsing has started")
-        if isinstance(path, str):
-            path = FieldPath.parse(path)
-        key = path.key()
-        if key not in FIELD_CATALOG:
-            raise UnknownFieldError(f"unknown field {key}")
+        key = _catalog_key(path)
         if key in self._ids:
             return self._ids[key]
         fid = len(self._ids) + 1
         self._ids[key] = fid
-        self._paths[fid] = path
         return fid
 
     def set_normalize_cap(self, path: FieldPath | str, max_len: int) -> None:
         """Limit the extracted length of a field to max_len bytes."""
-        if isinstance(path, str):
-            path = FieldPath.parse(path)
+        if self._sealed:
+            raise RuntimeError("cannot set caps after parsing has started")
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
-        key = path.key()
-        if key not in FIELD_CATALOG:
-            raise UnknownFieldError(f"unknown field {key}")
+        key = _catalog_key(path)
         prev = self._caps.get(key)
         self._caps[key] = max_len if prev is None else min(prev, max_len)
 
@@ -264,19 +326,30 @@ class SipParser:
         return self._ids.get(key)
 
     def seal(self) -> None:
-        """Freeze the registry and precompute the per-header extraction plan."""
+        """Freeze the registry and plan the extraction of each field."""
         if self._sealed:
             return
+        plans, families = self._header_plans, 0
         for key, fid in self._ids.items():
             ftype, family, part = FIELD_CATALOG[key]
+            entry = (fid, ftype, self._caps.get(key))
             if family == "@start":
-                self._start_plan[part] = (fid, ftype)
+                self._start_plan[part] = entry
             elif family == "@body":
-                self._body_field = (fid, ftype)
-            elif family == "@pseudo":
-                continue
-            else:
-                self._header_plan.setdefault(family, {})[part] = (fid, ftype)
+                self._body_entry = entry
+            elif family != "@pseudo":
+                names = _HEADER_NAMES[family]
+                plan = plans.get(names[0])
+                if plan is None:
+                    plan = [1 << families, None, []]
+                    families += 1
+                    for name in names:
+                        plans[name] = plan
+                if not part:
+                    plan[1] = entry
+                else:
+                    plan[2].append((*_PART_SPAN[part], entry))
+                    plan[2].sort()
         self._key_ids = self._key_field_ids()
         self._sealed = True
 
@@ -295,26 +368,27 @@ class SipParser:
         if not raw:
             raise MalformedMessage("empty message")
 
+        end = len(raw)
         nl = raw.find(b"\n")
-        if nl < 0:
-            line_end, header_pos = len(raw), len(raw)
-        else:
-            line_end, header_pos = nl, nl + 1
-        start_line = raw[:line_end]
-        if start_line.endswith(b"\r"):
-            start_line = start_line[:-1]
-
+        line_end = end if nl < 0 else nl
+        if line_end and raw[line_end - 1] == 0x0D:
+            line_end -= 1
         nodes: dict[int, ParseNode] = {}
-        kind, method, status = self._parse_start_line(start_line, raw, nodes)
-        body_start = self._scan_headers(raw, header_pos, nodes)
+        kind, method, status = self._parse_start_line(raw, line_end, nodes)
+        body_start = end
+        if nl >= 0:
+            blank = _BLANK_LINE_RE.search(raw, nl)
+            head_end = end if blank is None else blank.start()
+            self._scan_headers(raw, raw[:head_end].lower(), nl, head_end, nodes)
+            if blank is not None:
+                body_start = blank.end()
 
-        if self._body_field is not None and body_start < len(raw):
-            fid, ftype = self._body_field
-            s, e = _trim_span(raw, body_start, len(raw))
+        if self._body_entry is not None and body_start < end:
+            s, e = _trim_span(raw, body_start, end)
             if s < e:
-                self._make_node(raw, fid, ftype, s, e, nodes)
+                nodes[self._body_entry[0]] = _node(raw, self._body_entry, s, e)
 
-        return ParseTree(kind, method, status, nodes, len(raw))
+        return ParseTree(kind, method, status, nodes, end)
 
     def extract_dialog_key(self, tree: ParseTree) -> tuple[str, str, str] | None:
         """(call_id, from_tag, to_tag), a missing tag as ""; None without a Call-ID."""
@@ -339,137 +413,66 @@ class SipParser:
     # internals
     # ------------------------------------------------------------------
 
-    def _make_node(
-        self,
-        raw: bytes,
-        fid: int,
-        ftype: str,
-        start: int,
-        end: int,
-        nodes: dict[int, ParseNode],
-    ) -> ParseNode:
-        cap = self._caps.get(self._paths[fid].key())
-        if cap is not None and end - start > cap:
-            end = start + _truncate_len(raw[start:end], cap)
-            start, end = _trim_span(raw, start, end)
-        value = raw[start:end].decode("utf-8", "replace").strip()
-        node = ParseNode(fid, ftype, start, end, value)
-        nodes[fid] = node
-        return node
-
     def _parse_start_line(
-        self, line: bytes, raw: bytes, nodes: dict[int, ParseNode]
+        self, raw: bytes, line_end: int, nodes: dict[int, ParseNode]
     ) -> tuple[str, str, int | None]:
-        m = _REQUEST_RE.match(line)
+        """Read raw[:line_end], the start line without its line break."""
+        plan = self._start_plan
+        m = _REQUEST_RE.match(raw, 0, line_end)
         if m:
-            method = m.group(1).decode("ascii")
-            plan = self._start_plan
-            if "method" in plan:
-                fid, ftype = plan["method"]
-                self._make_node(raw, fid, ftype, m.start(1), m.end(1), nodes)
-            if "uri" in plan:
-                fid, ftype = plan["uri"]
-                self._make_node(raw, fid, ftype, m.start(2), m.end(2), nodes)
-            return "request", method, None
-        m = _RESPONSE_RE.match(line)
+            for part, group in (("method", 1), ("uri", 2)):
+                if part in plan:
+                    nodes[plan[part][0]] = _node(raw, plan[part], *m.span(group))
+            return "request", m.group(1).decode("ascii"), None
+        m = _RESPONSE_RE.match(raw, 0, line_end)
         if m:
             code = int(m.group(1))
             if not 100 <= code <= 699:
                 raise MalformedMessage(f"status code {code} out of range")
-            if "status" in self._start_plan:
-                fid, ftype = self._start_plan["status"]
-                self._make_node(raw, fid, ftype, m.start(1), m.end(1), nodes)
+            if "status" in plan:
+                nodes[plan["status"][0]] = _node(raw, plan["status"], *m.span(1))
             return "response", "", code
-        raise MalformedMessage(f"unparseable start line {line[:64]!r}")
+        raise MalformedMessage(f"unparseable start line {raw[:min(line_end, 64)]!r}")
 
     def _scan_headers(
-        self, raw: bytes, pos: int, nodes: dict[int, ParseNode]
-    ) -> int:
-        """Walk the header section, extracting only planned families.
-
-        Returns the byte offset where the body begins (== len(raw) when
-        the message has no body).  Folded continuation lines extend the
-        value span of the header they belong to.
-        """
-        seen: set[str] = set()
-        cur_family: str | None = None
-        cur_vs = cur_ve = 0
-        end = len(raw)
-
-        while pos < end:
-            nl = raw.find(b"\n", pos)
-            if nl < 0:
-                content_end, nxt = end, end
-            else:
-                content_end, nxt = nl, nl + 1
-            if content_end > pos and raw[content_end - 1] == 0x0D:
-                content_end -= 1
-            if content_end == pos:  # blank line terminates the header section
-                if cur_family is not None:
-                    self._emit_header(raw, cur_family, cur_vs, cur_ve, nodes, seen)
-                return nxt
-            b0 = raw[pos]
-            if b0 in (0x20, 0x09):
-                if cur_family is not None:
-                    cur_ve = content_end
-            else:
-                if cur_family is not None:
-                    self._emit_header(raw, cur_family, cur_vs, cur_ve, nodes, seen)
-                    cur_family = None
-                colon = raw.find(b":", pos, content_end)
-                if colon >= 0:
-                    name = raw[pos:colon].strip().lower().decode("ascii", "replace")
-                    cur_family = _COMPACT.get(name, name)
-                    cur_vs, cur_ve = colon + 1, content_end
-            pos = nxt
-
-        if cur_family is not None:
-            self._emit_header(raw, cur_family, cur_vs, cur_ve, nodes, seen)
-        return end
-
-    def _emit_header(
-        self,
-        raw: bytes,
-        family: str,
-        vs: int,
-        ve: int,
-        nodes: dict[int, ParseNode],
-        seen: set[str],
+        self, raw: bytes, lowered: bytes, pos: int, end: int, nodes: dict[int, ParseNode]
     ) -> None:
-        plan = self._header_plan.get(family)
-        if plan is None or family in seen:
-            return  # unregistered family, or repeat (only the topmost counts)
-        seen.add(family)
-        self.parse_events += 1
+        """Extract the planned families from the header section raw[pos:end],
+        which starts at the start line's newline and ends before the blank
+        line.  ``lowered`` is raw[:end].lower().
 
-        s, e = _trim_span(raw, vs, ve)
-        full = None
-        if "" in plan:
-            fid, ftype = plan[""]
-            full = self._make_node(raw, fid, ftype, s, e, nodes)
-            e = full.end  # children must stay inside a capped parent span
-
-        children: list[ParseNode] = []
-        if "addr" in plan:
-            span = _addr_host_span(raw, s, e)
-            if span:
-                fid, ftype = plan["addr"]
-                children.append(self._make_node(raw, fid, ftype, *span, nodes))
-        if "tag" in plan:
-            span = _tag_span(raw, s, e)
-            if span:
-                fid, ftype = plan["tag"]
-                children.append(self._make_node(raw, fid, ftype, *span, nodes))
-        if "branch" in plan:
-            m = _BRANCH_RE.search(raw, s, e)
-            if m:
-                fid, ftype = plan["branch"]
-                children.append(self._make_node(raw, fid, ftype, *m.span(1), nodes))
-        if "method" in plan:
-            m = _CSEQ_RE.match(raw, s, e)
-            if m:
-                fid, ftype = plan["method"]
-                children.append(self._make_node(raw, fid, ftype, *m.span(2), nodes))
-
-        if full is not None:
-            full.children.extend(children)
+        Only the topmost header of a family counts.  A value's span is
+        trimmed of blanks; a blank value sits where its last line's content
+        ends, before the line's CR.
+        """
+        plans, search = self._header_plans, _HEADER_RE.search
+        seen = 0
+        # a search loop, not finditer: tracemalloc sees finditer's iterators
+        # keep a slowly filling, bounded pool of blocks, which a per-message
+        # memory check cannot tell from growth
+        while (m := search(lowered, pos, end)) is not None:
+            pos = e = m.end()
+            plan = plans.get(m.group(1))
+            if plan is None or seen & plan[0]:
+                continue
+            bit, whole, parts = plan
+            seen |= bit
+            s = m.start(2)
+            while e > s and raw[e - 1] in _BLANKS:
+                e -= 1
+            if raw[e - 1] == 0x0D:  # only a blank value ends on a CR
+                e -= 1
+                s = e
+            if whole is not None:
+                parent = nodes[whole[0]] = _node(raw, whole, s, e)
+                e = parent.end  # children must stay inside a capped parent span
+            if parts:
+                children = []
+                for _, span_of, entry in parts:
+                    span = span_of(raw, s, e)
+                    if span is not None:
+                        child = nodes[entry[0]] = _node(raw, entry, *span)
+                        children.append(child)
+                if whole is not None and children:
+                    parent.children = tuple(children)
+        self.parse_events += seen.bit_count()  # one event per family extracted

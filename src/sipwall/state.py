@@ -1,11 +1,12 @@
 """Scoped state containers: sets, lists, bags, and leaky counters.
 
-Instances are addressed by (object name, scope key) and created on first
-touch.  A scope key is the plain identity tuple of its scope: GLOBAL_KEY
-(empty), a dialog key (call_id, from_tag, to_tag) or a transaction key
-(branch, cseq_method).  Expiry is lazy: a stale instance is discarded
-when resolved, and bulk sweeps walk the whole table.  All time handling uses the engine
-clock passed in by the caller; nothing here reads the wall clock.
+Instances are addressed by (object name, scope key) and created by a write
+or a counter read; a collection read creates none.  A scope key is the
+plain identity tuple of its scope: GLOBAL_KEY (empty), a dialog key
+(call_id, from_tag, to_tag) or a transaction key (branch, cseq_method).
+Expiry is lazy: a stale instance is discarded when resolved, and bulk
+sweeps walk the whole table.  All time handling uses the engine clock
+passed in by the caller; nothing here reads the wall clock.
 """
 
 from __future__ import annotations
@@ -193,10 +194,13 @@ class StateStore:
         self._descriptors: dict[str, ContainerDescriptor] = dict(descriptors or {})
         self._instances: dict[tuple[str, tuple], ContainerInstance] = {}
 
-    def resolve(self, name: str, key: tuple, now: float) -> ContainerInstance:
-        """Live instance for (name, key); creates a fresh one on first touch
-        or after expiry.  A key of another scope raises ValueError; it is
-        checked on creation only, since no stored slot can hold such a key."""
+    def resolve(
+        self, name: str, key: tuple, now: float, create: bool = True
+    ) -> ContainerInstance | None:
+        """Live instance for (name, key), touched; without one, a fresh
+        instance, or None when create is false (a read creates nothing).
+        A key of another scope raises ValueError; it is checked on creation
+        only, since no stored slot can hold such a key."""
         slot = (name, key)
         inst = self._instances.get(slot)
         if inst is not None:
@@ -204,6 +208,8 @@ class StateStore:
                 inst.touch(now)
                 return inst
             del self._instances[slot]
+        if not create:
+            return None
         desc = self._descriptors[name]
         if len(key) != _KEY_LEN[desc.scope]:
             raise ValueError(

@@ -371,7 +371,7 @@ class Reference:
                     self.seen["@in without Call-ID"] += 1
                 return False
             cap = self.ua_cap if obj.source == UA and self.ua_cap else 1024
-            return (value[:cap] in self.colls.setdefault(key, [])) != c.negated
+            return (value[:cap] in self.colls.get(key, ())) != c.negated  # a read creates nothing
         try:
             number = int(value.strip())
         except ValueError:

@@ -222,6 +222,28 @@ class TestClauseSemantics:
         # without source metadata there is nothing to hold or test
         assert engine.process_message(invite(9)).decision == "forward"
 
+    def test_compact_contact_is_no_evasion(self):
+        engine = make_engine('SecSip "FIELDS:sip.contact" "evil" drop')
+        head = (
+            b"OPTIONS sip:x@y SIP/2.0\r\nVia: SIP/2.0/UDP 10.0.0.5;branch=z9hG4bKo1\r\n"
+            b"From: <sip:a@b>;tag=1\r\nTo: <sip:x@y>\r\nCall-ID: o@x\r\nCSeq: 1 OPTIONS\r\n"
+        )
+        for contact in (b"Contact: <sip:evil@host>", b"m: <sip:evil@host>", b"M :<sip:evil@host>"):
+            assert engine.process_message(head + contact + b"\r\n\r\n").decision == "drop", contact
+
+    def test_in_read_creates_no_state(self):
+        # forged BYEs on unknown dialogs: all dropped, and nothing is kept
+        engine = make_engine(builtin_ruleset("bye_attack"))
+        for n in range(1000):
+            bye = build_request(
+                "BYE", "sip:bob@gw.example",
+                via=f"SIP/2.0/UDP 203.0.113.66;branch=z9hG4bKbye{n}",
+                from_="<sip:alice@client.example>;tag=x", to="<sip:bob@gw.example>;tag=y",
+                call_id=f"unknown-{n}@attack.example", cseq="2 BYE",
+            )
+            assert engine.process_message(bye, arrival_time=n * 0.001).decision == "drop"
+        assert engine.store.live_total() == 0
+
     def test_hold_skips_absent_source(self):
         engine = make_engine(
             'secsip "FIELDS:sip.method" "^INVITE$" hold:contacts=set[FIELDS:sip.contact]'

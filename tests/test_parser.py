@@ -125,6 +125,36 @@ class TestHeaderExtraction:
         assert value(full_parser, tree, "FIELDS:sip.call_id") == "compact-call-id@client.example"
         assert value(full_parser, tree, "FIELDS:sip.via.branch") == "z9hG4bKcompact"
 
+    def test_compact_contact_and_content_length(self, full_parser):
+        # RFC 3261 section 7.3.3: m is Contact, l is Content-Length
+        msg = sipmsg(
+            """
+            INVITE sip:bob@gw.example SIP/2.0
+            i: compact@client.example
+            m: <sip:alice@198.51.100.10>
+            L: 0
+            """
+        )
+        tree = full_parser.parse_message(msg)
+        assert value(full_parser, tree, "FIELDS:sip.contact") == "<sip:alice@198.51.100.10>"
+        assert value(full_parser, tree, "FIELDS:sip.content_length") == "0"
+
+    def test_names_are_stripped_and_caseless(self, full_parser):
+        raw = (
+            b"INVITE sip:bob@gw.example SIP/2.0\r\n"
+            b"\x0bcALL-iD \t: odd@client.example\r\n"
+            b"\tnot a header: x\r\n"  # a continuation line never starts a header
+            b"Max-Forwards\r\n"  # no colon: ends the header above
+            b"\tTo: <sip:late@gw.example>\r\n"
+            b"To:\r\n"
+            b"\r\n"
+        )
+        tree = full_parser.parse_message(raw)
+        assert value(full_parser, tree, "FIELDS:sip.call_id") == "odd@client.example\r\n\tnot a header: x"
+        node = tree.node(full_parser.field_id("FIELDS:sip.to"))
+        # a blank value is empty and sits before its line's CR
+        assert node.value == "" and node.start == node.end == raw.index(b"To:\r\n") + 3
+
     def test_folded_header(self, full_parser):
         raw = (
             b"INVITE sip:bob@gw.example SIP/2.0\r\n"
@@ -299,6 +329,10 @@ class TestNormalize:
         capped = normalize_value(text, 8)
         assert capped == "a" * 7  # the \r of a CRLF pair is not kept alone
 
+    def test_cap_after_seal_rejected(self, full_parser):
+        with pytest.raises(RuntimeError):
+            full_parser.set_normalize_cap("FIELDS:sip.uri", 4)
+
     def test_parser_cap_keeps_fidelity(self):
         parser = SipParser()
         parser.register_field("FIELDS:sip.uri")
@@ -341,6 +375,23 @@ class TestKeys:
         tree = full_parser.parse_message(INVITE)
         key = full_parser.extract_transaction_key(tree)
         assert key == ("z9hG4bK776asdhds", "INVITE")
+
+    def test_branch_lookalike_parameter_is_no_branch(self, full_parser):
+        msg = sipmsg(
+            """
+            OPTIONS sip:bob@gw.example SIP/2.0
+            Via: SIP/2.0/UDP 10.0.0.1;xbranch=forged;branch=z9hG4bKreal
+            From: <sip:alice@client.example>;tag=1
+            Call-ID: spoof@x
+            CSeq: 1 OPTIONS
+            """
+        )
+        tree = full_parser.parse_message(msg)
+        assert full_parser.extract_transaction_key(tree) == ("z9hG4bKreal", "OPTIONS")
+        only_lookalike = msg.replace(b";branch=z9hG4bKreal", b"")
+        assert full_parser.extract_transaction_key(full_parser.parse_message(only_lookalike)) is None
+        folded = msg.replace(b";branch=", b";\r\n BRANCH = ")
+        assert value(full_parser, full_parser.parse_message(folded), "FIELDS:sip.via.branch") == "z9hG4bKreal"
 
     def test_transaction_key_missing_branch(self, full_parser):
         msg = sipmsg(

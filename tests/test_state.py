@@ -184,6 +184,18 @@ class TestStore:
         assert not fresh.contains("a")
         assert fresh.created_at == 100.0
 
+    def test_read_without_create_makes_nothing(self):
+        store, _ = make_store(lifetime=5.0)
+        key = dialog_scope(1)
+        assert store.resolve("obj", key, 0.0, create=False) is None
+        assert store.live_total() == 0
+        store.resolve("obj", key, 0.0).insert("a", 0.0)
+        live = store.resolve("obj", key, 4.0, create=False)
+        assert live is not None and live.contains("a") and live.last_touched == 4.0
+        # a stale instance is discarded, not replaced
+        assert store.resolve("obj", key, 100.0, create=False) is None
+        assert store.live_total() == 0
+
     def test_bulk_expire(self):
         store, _ = make_store(lifetime=10.0)
         store.resolve("obj", dialog_scope(1), 0.0)
