@@ -18,7 +18,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .parser import FieldPath, MalformedMessage, ParseTree
 from .rules import Action, ActionKind, Clause, ClauseKind, Rule, RuleProgram, _COMPARATORS
-from .state import GLOBAL_KEY, Scope, StateStore
+from .state import GLOBAL_KEY, Scope, StateStore, expire_head
 
 __all__ = [
     "Verdict",
@@ -60,21 +60,21 @@ class MessageContext:
 
 
 class TransactionTracker:
-    """Last-seen time per transaction key; the sweep forgets keys idle
-    longer than the lifetime."""
+    """Last-seen time per transaction key, in order of last sighting; the
+    sweep forgets keys idle longer than the lifetime."""
 
     def __init__(self, lifetime: float = DEFAULT_TRANSACTION_LIFETIME):
         self.lifetime = lifetime
         self.records: dict[tuple[str, str], float] = {}
 
     def update(self, key: tuple[str, str], now: float) -> None:
-        self.records[key] = now
+        records = self.records
+        if key in records:  # move to the tail
+            del records[key]
+        records[key] = now
 
     def sweep(self, now: float) -> int:
-        dead = [key for key, seen in self.records.items() if now - seen > self.lifetime]
-        for key in dead:
-            del self.records[key]
-        return len(dead)
+        return expire_head(self.records, now, self.lifetime)
 
     def live(self) -> int:
         return len(self.records)
@@ -438,7 +438,7 @@ class Engine:
             def hold(ctx: MessageContext) -> None:
                 key, v = key_of(ctx), value(ctx)
                 if key is not None and v is not None:
-                    store.resolve(name, key, ctx.arrival_time).insert(v, ctx.arrival_time)
+                    store.resolve(name, key, ctx.arrival_time).insert(v)
             return hold
 
         def count(ctx: MessageContext) -> None:

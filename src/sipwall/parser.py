@@ -93,7 +93,8 @@ _REQUEST_RE = re.compile(
 )
 _RESPONSE_RE = re.compile(rb"^SIP/\d+\.\d+[ \t]+(\d{3})(?:[ \t]+(.*))?$")
 
-_TAG_RE = re.compile(rb"(?:^|[;?])[ \t]*tag[ \t]*=[ \t]*([^;>,\s]+)", re.IGNORECASE)
+# SEMI and EQUAL (RFC 3261) allow folding whitespace around the name
+_TAG_RE = re.compile(rb"(?:^|[;?])\s*tag\s*=\s*([^;>,\s]+)", re.IGNORECASE)
 # a parameter: after a semicolon, so a look-alike such as xbranch= is no branch
 _BRANCH_RE = re.compile(rb";\s*branch\s*=\s*([^;,\s]+)", re.IGNORECASE)
 # applied with .match(raw, pos), which anchors at pos; no ^ (it would pin to offset 0)

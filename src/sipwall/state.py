@@ -4,9 +4,12 @@ Instances are addressed by (object name, scope key) and created by a write
 or a counter read; a collection read creates none.  A scope key is the
 plain identity tuple of its scope: GLOBAL_KEY (empty), a dialog key
 (call_id, from_tag, to_tag) or a transaction key (branch, cseq_method).
-Expiry is lazy: a stale instance is discarded when resolved, and bulk
-sweeps walk the whole table.  All time handling uses the engine clock
-passed in by the caller; nothing here reads the wall clock.
+Expiry is lazy: a stale instance is discarded when resolved.  Each
+table keeps its entries in order of last touch, so a sweep pops expired
+entries off the head and stops at the first live one (expire_head).  All
+time handling uses the engine clock passed in by the caller; nothing
+here reads the wall clock, and that clock is taken not to go backwards.
+If it does, eviction can only come late, never early.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+from typing import Callable
 
 from .parser import FieldPath, normalize_value
 
@@ -28,6 +33,7 @@ __all__ = [
     "StateStore",
     "DEFAULT_LIFETIMES",
     "DEFAULT_MAX_VALUE_LEN",
+    "expire_head",
 ]
 
 
@@ -109,7 +115,8 @@ class CounterState:
 
 
 class ContainerInstance:
-    """Live state for one (object, scope key) pair."""
+    """Live state for one (object, scope key) pair; the store alone
+    moves last_touched, when it resolves the instance."""
 
     __slots__ = ("descriptor", "created_at", "last_touched", "_values", "_counter")
 
@@ -135,15 +142,10 @@ class ContainerInstance:
             self._values = Counter()
             self._counter = None
 
-    def touch(self, now: float) -> None:
-        if now > self.last_touched:
-            self.last_touched = now
-
-    def insert(self, value: str, now: float) -> None:
+    def insert(self, value: str) -> None:
         if self._values is None:
             raise TypeError(f"{self.descriptor.name} is a counter, not a collection")
         value = normalize_value(value, self.descriptor.max_value_len)
-        self.touch(now)
         if isinstance(self._values, set):
             self._values.add(value)
         elif isinstance(self._values, list):
@@ -165,13 +167,11 @@ class ContainerInstance:
     def counter_increment(self, now: float, amount: int = 1) -> int:
         if self._counter is None:
             raise TypeError(f"{self.descriptor.name} is not a counter")
-        self.touch(now)
         return self._counter.increment(now, amount)
 
     def counter_value(self, now: float) -> int:
         if self._counter is None:
             raise TypeError(f"{self.descriptor.name} is not a counter")
-        self.touch(now)
         return self._counter.value(now)
 
     def size(self) -> int:
@@ -184,15 +184,41 @@ class ContainerInstance:
     def values(self):
         return self._values
 
-    def expired(self, now: float) -> bool:
-        lifetime = self.descriptor.lifetime
-        return lifetime is not None and now - self.last_touched > lifetime
+
+def expire_head(
+    table: dict, now: float, lifetime: float, seen: Callable[[object], float] = float
+) -> int:
+    """Delete the entries at the head of table idle longer than lifetime,
+    up to the first that is not; seen reads an entry's last-touch time off
+    its value, which by default is that time.
+
+    The table must be in order of last touch, each touch moving its entry
+    to the tail, so the entries after the first live one are live too.
+    """
+    dead = []
+    for key, value in table.items():
+        if not now - seen(value) > lifetime:
+            break
+        dead.append(key)
+    for key in dead:
+        del table[key]
+    return len(dead)
+
+
+_LAST_TOUCHED = attrgetter("last_touched")
 
 
 class StateStore:
+    """Instances in one table per distinct lifetime, each table in order of
+    last touch; a table without a lifetime is never reordered or swept."""
+
     def __init__(self, descriptors: dict[str, ContainerDescriptor] | None = None):
         self._descriptors: dict[str, ContainerDescriptor] = dict(descriptors or {})
-        self._instances: dict[tuple[str, tuple], ContainerInstance] = {}
+        self._by_lifetime: dict[float | None, dict[tuple[str, tuple], ContainerInstance]] = {}
+        self._tables: dict[str, tuple[dict, float | None]] = {}  # name -> (table, lifetime)
+        for name, desc in self._descriptors.items():
+            life = desc.lifetime
+            self._tables[name] = (self._by_lifetime.setdefault(life, {}), life)
 
     def resolve(
         self, name: str, key: tuple, now: float, create: bool = True
@@ -201,13 +227,20 @@ class StateStore:
         instance, or None when create is false (a read creates nothing).
         A key of another scope raises ValueError; it is checked on creation
         only, since no stored slot can hold such a key."""
+        table, lifetime = self._tables[name]
         slot = (name, key)
-        inst = self._instances.get(slot)
+        if lifetime is None:  # never swept, so left in place
+            inst = table.get(slot)
+        else:  # taken out, and put back at the tail while live
+            inst = table.pop(slot, None)
+            if inst is not None and not now - inst.last_touched > lifetime:
+                table[slot] = inst
+            else:
+                inst = None
         if inst is not None:
-            if not inst.expired(now):
-                inst.touch(now)
-                return inst
-            del self._instances[slot]
+            if now > inst.last_touched:
+                inst.last_touched = now
+            return inst
         if not create:
             return None
         desc = self._descriptors[name]
@@ -216,24 +249,27 @@ class StateStore:
                 f"object {name} is {desc.scope.value}-scoped, got the key {key!r}"
             )
         inst = ContainerInstance(desc, now)
-        self._instances[slot] = inst
+        table[slot] = inst
         return inst
 
     def peek(self, name: str, key: tuple) -> ContainerInstance | None:
-        return self._instances.get((name, key))
+        return self._tables[name][0].get((name, key))
 
     def expire(self, now: float) -> int:
-        """Evict every instance idle longer than its lifetime."""
-        dead = [slot for slot, inst in self._instances.items() if inst.expired(now)]
-        for slot in dead:
-            del self._instances[slot]
-        return len(dead)
+        """Evict every instance idle longer than its lifetime (on a clock
+        that has not gone backwards; otherwise some are left for later)."""
+        return sum(
+            expire_head(table, now, life, _LAST_TOUCHED)
+            for life, table in self._by_lifetime.items()
+            if life is not None
+        )
 
     def live_counts(self) -> dict[str, int]:
         counts = {name: 0 for name in self._descriptors}
-        for name, _key in self._instances:
-            counts[name] += 1
+        for table in self._by_lifetime.values():
+            for name, _key in table:
+                counts[name] += 1
         return counts
 
     def live_total(self) -> int:
-        return len(self._instances)
+        return sum(map(len, self._by_lifetime.values()))

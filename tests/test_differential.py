@@ -8,7 +8,8 @@ against.  Random programs run over random traffic through both, and
 every verdict, every counter and the number of live state instances
 must agree.  The generator also emits runs of rules that test one field
 first, which the engine evaluates as rule blocks; the reference knows
-nothing of blocks.
+nothing of blocks.  A second test adds expiry: short lifetimes and
+frequent sweeps, with a reference that expires state by a full scan.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 
 from sipwall.engine import Engine, _anchored_prefix, rule_blocks
 from sipwall.rules import compile_ruleset, parse_ruleset
+from sipwall.state import Scope
 
 CMP = {"eq": operator.eq, "gt": operator.gt, "lt": operator.lt,
        "ge": operator.ge, "le": operator.le}
@@ -343,6 +345,14 @@ class Reference:
         state[2] = epochs
         return state[0]
 
+    def hold(self, key: tuple, now: float) -> list:
+        """The collection a hold: writes to, created if there is none."""
+        return self.colls.setdefault(key, [])
+
+    def held(self, key: tuple, now: float) -> list | tuple:
+        """The collection an @in reads; a read creates nothing."""
+        return self.colls.get(key, ())
+
     def clause(self, c: RClause, msg: Msg) -> bool:
         if c.negated:
             self.seen["negated"] += 1
@@ -371,7 +381,7 @@ class Reference:
                     self.seen["@in without Call-ID"] += 1
                 return False
             cap = self.ua_cap if obj.source == UA and self.ua_cap else 1024
-            return (value[:cap] in self.colls.get(key, ())) != c.negated  # a read creates nothing
+            return (value[:cap] in self.held(key, msg.at)) != c.negated  # a read creates nothing
         try:
             number = int(value.strip())
         except ValueError:
@@ -409,7 +419,7 @@ class Reference:
                     value = self.value(msg, act.source)
                     if value is not None:
                         self.seen["hold from src"] += act.source == NET_SRC
-                        self.colls.setdefault(key, []).append(value)
+                        self.hold(key, msg.at).append(value)
         return "forward", tuple(matched), None
 
 
@@ -471,6 +481,100 @@ def test_engine_matches_reference_on_random_programs():
                       "block hit", "block miss", "prefilter skip",
                       "mixed block without prefilter"):
         assert seen[situation] > 0, f"{situation} never exercised"
+
+
+# ----------------------------------------------------------------------
+# expiry
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class ExpiringReference(Reference):
+    """The reference with the README's expiry: an instance idle longer than
+    its scope's lifetime is gone for a read and replaced by a fresh one on
+    a write; every access touches it; a sweep scans every instance."""
+
+    lifetimes: dict = field(default_factory=dict)  # scope -> seconds; global never expires
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.touched: dict[tuple, float] = {}  # key -> last touch
+
+    def expired(self, key: tuple, now: float) -> bool:
+        lifetime = self.lifetimes.get(self.objs[key[0]].scope)
+        return lifetime is not None and now - self.touched[key] > lifetime
+
+    def access(self, table: dict, key: tuple, now: float) -> None:
+        """Discard key from table if it has expired; touch it if it is there."""
+        if key in table and self.expired(key, now):
+            del table[key]
+            del self.touched[key]
+            self.seen["expired on access"] += 1
+        if key in table:
+            self.touched[key] = max(self.touched[key], now)
+
+    def level(self, key: tuple, now: float) -> int:
+        self.access(self.counters, key, now)
+        self.touched.setdefault(key, now)  # a counter read creates
+        return super().level(key, now)
+
+    def hold(self, key: tuple, now: float) -> list:
+        self.access(self.colls, key, now)
+        self.touched.setdefault(key, now)
+        return super().hold(key, now)
+
+    def held(self, key: tuple, now: float) -> list | tuple:
+        self.access(self.colls, key, now)
+        return super().held(key, now)
+
+    def sweep(self, now: float) -> None:
+        for table in (self.counters, self.colls):
+            for key in [k for k in table if self.expired(k, now)]:
+                del table[key]
+                del self.touched[key]
+                self.seen["swept"] += 1
+
+
+def test_engine_matches_reference_with_expiry():
+    # short lifetimes, gaps that reach them and frequent sweeps; a gap and
+    # a lifetime in quarter seconds land an instance exactly on its lifetime
+    rng = random.Random(3261)
+    seen: Counter = Counter()
+    for _ in range(150):
+        rules = random_program(rng)
+        text = "\n".join(r.text() for r in rules)
+        lifetimes = {"dialog": rng.choice((1.0, 2.5, 6.0)),
+                     "transaction": rng.choice((0.5, 1.0, 3.0))}
+        period = rng.choice((1, 3, 7))
+        program = compile_ruleset(parse_ruleset(text), scope_lifetimes={
+            Scope(scope): life for scope, life in lifetimes.items()})
+        engine = Engine(program, sweep_period=period,
+                        transaction_lifetime=lifetimes["transaction"])
+        ref = ExpiringReference(rules, lifetimes=lifetimes)
+        at = 0.0
+        for i in range(80):
+            at += rng.choice((0.0, 0.25, 0.25, 0.5, 1.0, 2.5))
+            msg = random_message(rng, at)
+            got = engine.process_message(
+                msg.raw, direction="in" if msg.request else "out",
+                src=msg.src, arrival_time=msg.at,
+            )
+            want = ref.run(msg)
+            if (i + 1) % period == 0:
+                ref.sweep(msg.at)
+            assert (got.decision, got.matched_rules, got.dropping_rule) == want, (
+                f"message {i} under\n{text}\n{msg.raw.decode()}"
+            )
+            assert engine.store.live_total() == len(ref.counters) + len(ref.colls), text
+        engine.end_of_trace()
+        ref.sweep(at)
+        assert engine.store.live_total() == len(ref.counters) + len(ref.colls), text
+        for key in ref.counters:
+            inst = engine.store.peek(key[0], key[1:])
+            assert inst is not None and inst.counter_value(at) == Reference.level(ref, key, at), text
+        seen += ref.seen
+    for situation in ("expired on access", "swept"):
+        assert seen[situation] > 100, f"{situation} too rarely exercised"
 
 
 # ----------------------------------------------------------------------

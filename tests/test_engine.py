@@ -457,12 +457,17 @@ class TestSnapshots:
     def test_latency_kept_only_in_verdicts(self):
         # a long-running proxy must not grow memory per message for latency
         engine = make_engine("")
+        # growth from the second to the third 2,000-message window: the first
+        # and second fill allocator pools, which level off, while a leak
+        # grows in every window
         msg = invite()  # one transaction key, so the tracker stays at one record
-        for _ in range(50):
+        for _ in range(2000):
             assert engine.process_message(msg).processing_time > 0
-        gc.collect()
         tracemalloc.start()
         try:
+            for _ in range(2000):
+                engine.process_message(msg)
+            gc.collect()
             before = tracemalloc.take_snapshot()
             for _ in range(2000):
                 engine.process_message(msg)

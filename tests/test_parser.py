@@ -173,6 +173,22 @@ class TestHeaderExtraction:
         assert "<sip:alice@client.example>" in from_node.value
         assert value(full_parser, tree, "FIELDS:sip.from.tag") == "folded1"
 
+    def test_tag_after_folded_semicolon(self, full_parser):
+        # SEMI allows a fold between ";" and the parameter name, so both
+        # forms key the same dialog
+        def key(from_value: bytes):
+            return full_parser.extract_dialog_key(full_parser.parse_message(
+                b"INVITE sip:bob@gw.example SIP/2.0\r\n"
+                b"From: " + from_value + b"\r\n"
+                b"To: <sip:b@h> ; tag = y2\r\n"
+                b"Call-ID: c@x\r\n"
+                b"CSeq: 1 INVITE\r\n"
+                b"\r\n"
+            ))
+        assert key(b"<sip:a@b>;\r\n tag=x1") == ("c@x", "x1", "y2")
+        assert key(b"<sip:a@b>;\r\n\ttag\r\n =\r\n x1") == ("c@x", "x1", "y2")
+        assert key(b"<sip:a@b>;tag=x1") == ("c@x", "x1", "y2")
+
     def test_topmost_via_wins(self, full_parser):
         msg = sipmsg(
             """

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sipwall.engine import TransactionTracker
 from sipwall.parser import FieldPath
 from sipwall.state import (
     GLOBAL_KEY,
@@ -104,8 +105,8 @@ class TestContainers:
     def test_set_deduplicates(self):
         store, _ = make_store(kind=ContainerKind.SET)
         inst = store.resolve("obj", dialog_scope(1), 0.0)
-        inst.insert("a", 0.0)
-        inst.insert("a", 1.0)
+        inst.insert("a")
+        inst.insert("a")
         assert inst.size() == 1
         assert inst.contains("a")
         assert not inst.contains("b")
@@ -113,8 +114,8 @@ class TestContainers:
     def test_list_keeps_duplicates(self):
         store, _ = make_store(kind=ContainerKind.LIST)
         inst = store.resolve("obj", dialog_scope(1), 0.0)
-        inst.insert("a", 0.0)
-        inst.insert("a", 0.0)
+        inst.insert("a")
+        inst.insert("a")
         assert inst.size() == 2
         assert inst.contains("a")
 
@@ -122,7 +123,7 @@ class TestContainers:
         store, _ = make_store(kind=ContainerKind.BAG)
         inst = store.resolve("obj", dialog_scope(1), 0.0)
         for _ in range(3):
-            inst.insert("x", 0.0)
+            inst.insert("x")
         assert inst.multiplicity("x") == 3
         assert inst.multiplicity("y") == 0
         assert inst.size() == 3
@@ -141,12 +142,12 @@ class TestContainers:
         )
         c = counters.resolve("c", GLOBAL_KEY, 0.0)
         with pytest.raises(TypeError):
-            c.insert("x", 0.0)
+            c.insert("x")
 
     def test_insert_and_query_normalize(self):
         store, _ = make_store(kind=ContainerKind.SET, max_value_len=8)
         inst = store.resolve("obj", dialog_scope(1), 0.0)
-        inst.insert("abcdefgh-LONG-TAIL", 0.0)
+        inst.insert("abcdefgh-LONG-TAIL")
         # stored value is capped, and a query with the same long value
         # is capped before lookup, so it still hits
         assert inst.contains("abcdefgh-LONG-TAIL")
@@ -158,7 +159,7 @@ class TestContainers:
 class TestStore:
     def test_scope_isolation(self):
         store, _ = make_store()
-        store.resolve("obj", dialog_scope(1), 0.0).insert("a", 0.0)
+        store.resolve("obj", dialog_scope(1), 0.0).insert("a")
         assert not store.resolve("obj", dialog_scope(2), 0.0).contains("a")
         assert store.live_counts() == {"obj": 2}
 
@@ -170,7 +171,7 @@ class TestStore:
     def test_expiry_is_strict(self):
         store, _ = make_store(lifetime=10.0)
         key = dialog_scope(1)
-        store.resolve("obj", key, 0.0).insert("a", 0.0)
+        store.resolve("obj", key, 0.0).insert("a")
         # exactly at the lifetime boundary the instance survives
         assert store.resolve("obj", key, 10.0).contains("a")
         # touching refreshed the clock; jump past it from the last touch
@@ -179,7 +180,7 @@ class TestStore:
     def test_resolve_discards_stale_instance(self):
         store, _ = make_store(lifetime=5.0)
         key = dialog_scope(1)
-        store.resolve("obj", key, 0.0).insert("a", 0.0)
+        store.resolve("obj", key, 0.0).insert("a")
         fresh = store.resolve("obj", key, 100.0)
         assert not fresh.contains("a")
         assert fresh.created_at == 100.0
@@ -189,7 +190,7 @@ class TestStore:
         key = dialog_scope(1)
         assert store.resolve("obj", key, 0.0, create=False) is None
         assert store.live_total() == 0
-        store.resolve("obj", key, 0.0).insert("a", 0.0)
+        store.resolve("obj", key, 0.0).insert("a")
         live = store.resolve("obj", key, 4.0, create=False)
         assert live is not None and live.contains("a") and live.last_touched == 4.0
         # a stale instance is discarded, not replaced
@@ -220,3 +221,120 @@ class TestStore:
         store.resolve("c", GLOBAL_KEY, 0.0).counter_increment(0.0)
         assert store.expire(1e9) == 0
         assert store.resolve("c", GLOBAL_KEY, 1e9).counter_value(1e9) == 0
+
+
+# Two names share the short lifetime, so they share a table.
+LIFETIMES = {"short": 3.0, "short2": 3.0, "long": 10.0, "glob": None}
+SCOPES = {"short": Scope.DIALOG, "short2": Scope.DIALOG, "long": Scope.TRANSACTION,
+          "glob": Scope.GLOBAL}
+
+
+def ordered_store() -> StateStore:
+    return StateStore({
+        name: ContainerDescriptor(name, ContainerKind.SET, SCOPES[name], lifetime=life)
+        for name, life in LIFETIMES.items()
+    })
+
+
+def scope_key(scope: Scope, n: int) -> tuple:
+    return {Scope.DIALOG: dialog_scope(n), Scope.TRANSACTION: (f"b{n}", "INVITE"),
+            Scope.GLOBAL: GLOBAL_KEY}[scope]
+
+
+SLOTS = sorted({(name, scope_key(SCOPES[name], n)) for name in LIFETIMES for n in range(4)})
+
+
+def idle(now: float, seen: float, lifetime: float | None) -> bool:
+    return lifetime is not None and now - seen > lifetime
+
+
+# clock steps, in halves so that an entry lands exactly on its lifetime
+STEPS = (0.0, 0.0, 0.5, 1.0, 1.5, 3.0, 4.5)
+
+
+class TestOrderedExpiry:
+    """The ordered tables against a full-scan reference: slot -> (instance,
+    last touch), lazy expiry on resolve, a sweep that scans every slot."""
+
+    def test_store_matches_full_scan(self):
+        rng = random.Random(7)
+        swept = 0
+        for _ in range(300):
+            store, ref, now = ordered_store(), {}, 0.0
+            for _ in range(rng.randrange(10, 80)):
+                now += rng.choice(STEPS)
+                roll = rng.random()
+                if roll < 0.2:
+                    dead = [s for s, (_, seen) in ref.items() if idle(now, seen, LIFETIMES[s[0]])]
+                    for s in dead:
+                        del ref[s]
+                    assert store.expire(now) == len(dead)
+                    swept += len(dead)
+                    for name, key in SLOTS:
+                        inst = store.peek(name, key)
+                        assert (inst is not None) == ((name, key) in ref)
+                        assert inst is None or inst is ref[name, key][0]
+                    assert store.live_total() == len(ref)
+                    continue
+                name, key = slot = rng.choice(SLOTS)
+                create = roll < 0.7
+                old = ref.pop(slot, None)
+                if old is not None and idle(now, old[1], LIFETIMES[name]):
+                    old = None
+                got = store.resolve(name, key, now, create=create)
+                if old is not None:
+                    assert got is old[0]
+                    ref[slot] = (got, max(old[1], now))
+                elif create:
+                    assert got is not None and got.created_at == now
+                    ref[slot] = (got, now)
+                else:
+                    assert got is None
+                if got is not None:
+                    assert got.last_touched == ref[slot][1]
+        assert swept > 500
+
+    def test_tracker_matches_full_scan(self):
+        rng = random.Random(8)
+        swept = 0
+        for _ in range(300):
+            tracker, ref, now = TransactionTracker(lifetime=3.0), {}, 0.0
+            for _ in range(rng.randrange(10, 80)):
+                now += rng.choice(STEPS)
+                if rng.random() < 0.2:
+                    dead = [k for k, seen in ref.items() if now - seen > 3.0]
+                    for k in dead:
+                        del ref[k]
+                    assert tracker.sweep(now) == len(dead)
+                    assert tracker.records == ref
+                    swept += len(dead)
+                else:
+                    key = (f"b{rng.randrange(6)}", "INVITE")
+                    tracker.update(key, now)
+                    ref[key] = now
+        assert swept > 500
+
+    def test_backward_clock_never_serves_an_expired_instance(self):
+        rng = random.Random(9)
+        late = 0
+        for _ in range(300):
+            store, now = ordered_store(), 20.0
+            for _ in range(rng.randrange(10, 80)):
+                now = max(0.0, now + rng.choice(STEPS + (-1.0, -3.0, -4.5)))
+                if rng.random() < 0.2:
+                    before = {s: store.peek(*s) for s in SLOTS if store.peek(*s) is not None}
+                    store.expire(now)
+                    for (name, key), inst in before.items():
+                        expired = idle(now, inst.last_touched, LIFETIMES[name])
+                        if store.peek(name, key) is None:
+                            assert expired  # never early
+                        else:
+                            late += expired
+                    continue
+                name, key = rng.choice(SLOTS)
+                prior = store.peek(name, key)
+                prior_seen = None if prior is None else prior.last_touched
+                got = store.resolve(name, key, now, create=rng.random() < 0.7)
+                if got is not None and got is prior:
+                    assert not idle(now, prior_seen, LIFETIMES[name])
+        assert late > 0  # the clock did put entries out of order
