@@ -12,13 +12,14 @@ single prefix test: the curve is nearly flat by design.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 from .engine import Engine
 from .gen import gen_invite_flood
 from .rules import compile_ruleset, parse_ruleset
-from .trace import ReplayReport, replay
+from .trace import ReplayReport, replay, sleep_until
 
 __all__ = [
     "BenchPoint",
@@ -101,11 +102,6 @@ def synthetic_ruleset(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Scenario 2 replays each point's messages in this many slices, one per
-# pass over the rule counts, so slow drift of the host hits every point.
-SCENARIO2_PASSES = 4
-
-
 def _run_point(
     ruleset_text: str, rate: float, duration: float, seed: int
 ) -> BenchPoint:
@@ -146,41 +142,41 @@ def run_scenario2(
     progress: TextIO | None = None,
 ) -> list[BenchPoint]:
     """One point per rule count 1, 2, 4 .. max_rules, each from the same
-    messages at the same rate.  Every point's messages are cut into
-    SCENARIO2_PASSES slices; pass k replays slice k on a fresh engine for
-    every rule count, in ascending order on even passes and descending on
-    odd ones, and a point's figures pool its slices."""
+    messages at the same rate.  Every rule count has its own engine, and
+    message i is released at start + i/rate to all of them in turn.  The
+    turn order rotates by one per message, so every rule count runs at
+    every position alike, and drift of the host lands on all the points
+    at the same moments."""
     counts = []
     n = 1
     while n <= max_rules:
         counts.append(n)
         n *= 2
-    programs = {count: compile_ruleset(parse_ruleset(synthetic_ruleset(count))) for count in counts}
+    engines = [Engine(compile_ruleset(parse_ruleset(synthetic_ruleset(count)))) for count in counts]
     records = gen_invite_flood(count=max(1, int(round(rate * duration))), rate=rate, seed=seed)
-    cuts = [len(records) * k // SCENARIO2_PASSES for k in range(SCENARIO2_PASSES + 1)]
-    pooled = {count: ReplayReport(offered_rate=rate) for count in counts}
-    for k in range(SCENARIO2_PASSES):
-        part = records[cuts[k]:cuts[k + 1]]
-        if not part:
-            continue
-        for count in counts if k % 2 == 0 else counts[::-1]:
-            if progress:
-                print(
-                    f"# scenario 2: {count} rules at {rate:.0f} msg/s, "
-                    f"pass {k + 1}/{SCENARIO2_PASSES}",
-                    file=progress,
-                )
-            report = replay(part, Engine(programs[count]), pacing="fixed", rate=rate)
-            total = pooled[count]
-            total.messages += report.messages
-            total.forwarded += report.forwarded
-            total.dropped += report.dropped
-            total.malformed += report.malformed
-            total.wall_seconds += report.wall_seconds
-            total.latencies_ns += report.latencies_ns
-    for total in pooled.values():
-        total.achieved_rate = total.messages / total.wall_seconds if total.wall_seconds else 0.0
-    return [point_from_report(pooled[count], rules=count) for count in counts]
+    reports = [ReplayReport(offered_rate=rate) for _ in counts]
+    if progress:
+        print(
+            f"# scenario 2: {len(records)} messages at {rate:.0f} msg/s "
+            f"to {counts[0]}..{counts[-1]} rules",
+            file=progress,
+        )
+    wall0 = time.perf_counter()
+    for i, rec in enumerate(records):
+        arrival = i / rate
+        sleep_until(wall0 + arrival)
+        for turn in range(len(counts)):
+            k = (i + turn) % len(counts)
+            reports[k].count(engines[k].process_message(
+                rec.payload, direction=rec.direction, src=rec.src, dst=rec.dst,
+                arrival_time=arrival,
+            ))
+    wall = time.perf_counter() - wall0
+    for engine, report in zip(engines, reports):
+        engine.end_of_trace()
+        report.wall_seconds = wall
+        report.achieved_rate = report.messages / wall if wall else 0.0
+    return [point_from_report(report, rules=count) for report, count in zip(reports, counts)]
 
 
 def format_csv(points: Iterable[BenchPoint]) -> str:

@@ -17,7 +17,7 @@ import sys
 from importlib.resources import files
 
 from . import bench
-from .engine import Engine, rule_blocks
+from .engine import DEFAULT_SWEEP_PERIOD, Engine, rule_blocks
 from .gen import GENERATORS
 from .proxy import ProxyConfig, proxy_run
 from .rules import RuleError, RuleProgram, compile_ruleset, format_rule, parse_ruleset
@@ -73,6 +73,26 @@ def _pacing(text: str) -> tuple[str, float | None]:
     )
 
 
+def _positive_seconds(text: str) -> float:
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected seconds, got {text!r}") from None
+    if not seconds > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"a lifetime must be above 0 s, got {text!r}")
+    return seconds
+
+
+def _sweep_period(text: str) -> int:
+    try:
+        period = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a message count, got {text!r}") from None
+    if period < 1:
+        raise argparse.ArgumentTypeError(f"the sweep period must be at least 1, got {text!r}")
+    return period
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="sipwall")
     sub = top.add_subparsers(dest="command", required=True)
@@ -90,9 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--listen", type=_endpoint, help="listen endpoint (proxy mode)")
     run.add_argument("--upstream", type=_endpoint, help="relay endpoint (proxy mode)")
     run.add_argument("--stats", help="write a stats CSV row to this path")
-    run.add_argument("--dialog-lifetime", type=float, default=None)
-    run.add_argument("--transaction-lifetime", type=float, default=None)
-    run.add_argument("--sweep-period", type=int, default=256)
+    run.add_argument("--dialog-lifetime", type=_positive_seconds, default=None)
+    run.add_argument("--transaction-lifetime", type=_positive_seconds, default=None)
+    run.add_argument("--sweep-period", type=_sweep_period, default=DEFAULT_SWEEP_PERIOD)
 
     check = sub.add_parser(
         "check", help="compile a rule file and print the schedule and its rule blocks"

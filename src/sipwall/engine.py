@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_SWEEP_PERIOD = 256
-DEFAULT_TRANSACTION_LIFETIME = 32.0
 
 
 @dataclass
@@ -61,9 +60,9 @@ class MessageContext:
 
 class TransactionTracker:
     """Last-seen time per transaction key, in order of last sighting; the
-    sweep forgets keys idle longer than the lifetime."""
+    sweep forgets keys idle longer than the lifetime, none without one."""
 
-    def __init__(self, lifetime: float = DEFAULT_TRANSACTION_LIFETIME):
+    def __init__(self, lifetime: float | None):
         self.lifetime = lifetime
         self.records: dict[tuple[str, str], float] = {}
 
@@ -74,6 +73,8 @@ class TransactionTracker:
         records[key] = now
 
     def sweep(self, now: float) -> int:
+        if self.lifetime is None:
+            return 0
         return expire_head(self.records, now, self.lifetime)
 
     def live(self) -> int:
@@ -164,16 +165,10 @@ class _Block(NamedTuple):
 
 
 class Engine:
-    def __init__(
-        self,
-        program: RuleProgram,
-        *,
-        sweep_period: int = DEFAULT_SWEEP_PERIOD,
-        transaction_lifetime: float = DEFAULT_TRANSACTION_LIFETIME,
-    ):
+    def __init__(self, program: RuleProgram, *, sweep_period: int = DEFAULT_SWEEP_PERIOD):
         self.program = program
         self.store = StateStore(program.declared_objects)
-        self.transactions = TransactionTracker(transaction_lifetime)
+        self.transactions = TransactionTracker(program.lifetimes[Scope.TRANSACTION])
         self.stats = EngineStats()
         self.sweep_period = sweep_period
         self._since_sweep = 0
@@ -379,7 +374,7 @@ class Engine:
             def value(ctx: MessageContext) -> int | None:
                 key = key_of(ctx)
                 now = ctx.arrival_time
-                return None if key is None else store.resolve(target, key, now).counter_value(now)
+                return None if key is None else store.resolve(target, key, now).value(now)
         elif target.key() == "FIELDS:net.src_addr":
             def value(ctx: MessageContext) -> str | None:
                 return ctx.src_host
@@ -444,5 +439,5 @@ class Engine:
         def count(ctx: MessageContext) -> None:
             key = key_of(ctx)
             if key is not None:
-                store.resolve(name, key, ctx.arrival_time).counter_increment(ctx.arrival_time)
+                store.resolve(name, key, ctx.arrival_time).increment(ctx.arrival_time)
         return count

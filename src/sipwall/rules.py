@@ -184,6 +184,7 @@ class RuleProgram:
     schedule: tuple[int, ...]  # rule ids in evaluation order
     declared_objects: dict[str, ContainerDescriptor]
     parser: SipParser
+    lifetimes: dict[Scope, float | None]  # per scope, None: no timed expiry
 
     def rule(self, rule_id: int) -> Rule:
         return self.rules[rule_id - 1]
@@ -507,7 +508,6 @@ def compile_ruleset(
             name=name,
             kind=act.container,
             scope=scope,
-            source=act.source,
             lifetime=lifetimes[scope],
             max_value_len=max_len,
             leak_amount=act.leak_amount,
@@ -521,6 +521,7 @@ def compile_ruleset(
         schedule=order,
         declared_objects=descriptors,
         parser=parser,
+        lifetimes=lifetimes,
     )
 
 

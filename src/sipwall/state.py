@@ -1,9 +1,12 @@
-"""Scoped state containers: sets, lists, bags, and leaky counters.
+"""Scoped state: held sets and leaky counters, one slotted class each.
 
 Instances are addressed by (object name, scope key) and created by a write
 or a counter read; a collection read creates none.  A scope key is the
 plain identity tuple of its scope: GLOBAL_KEY (empty), a dialog key
 (call_id, from_tag, to_tag) or a transaction key (branch, cseq_method).
+A set, list or bag object is held as a set of its capped values (HeldSet):
+@in, the only reader of a collection, sees neither order nor multiplicity.
+A counter object is a CounterState.
 Expiry is lazy: a stale instance is discarded when resolved.  Each
 table keeps its entries in order of last touch, so a sweep pops expired
 entries off the head and stops at the first live one (expire_head).  All
@@ -15,13 +18,12 @@ If it does, eviction can only come late, never early.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Callable
 
-from .parser import FieldPath, normalize_value
+from .parser import normalize_value
 
 __all__ = [
     "Scope",
@@ -29,7 +31,7 @@ __all__ = [
     "GLOBAL_KEY",
     "ContainerDescriptor",
     "CounterState",
-    "ContainerInstance",
+    "HeldSet",
     "StateStore",
     "DEFAULT_LIFETIMES",
     "DEFAULT_MAX_VALUE_LEN",
@@ -73,27 +75,31 @@ class ContainerDescriptor:
     name: str
     kind: ContainerKind
     scope: Scope
-    source: FieldPath | None = None  # field whose values a hold: rule stores
     lifetime: float | None = None
     max_value_len: int = DEFAULT_MAX_VALUE_LEN
     leak_amount: int = 0
     leak_interval: float = 60.0
 
 
-@dataclass
 class CounterState:
-    """Leaky counter: drains leak_amount per elapsed leak_interval.
+    """Leaky counter instance: drains leak_amount per elapsed leak_interval.
 
     Settlement is lazy.  The anchor only ever advances by whole
     intervals, so leak epochs stay on the grid fixed at creation time,
     and the value saturates at zero (drained intervals are not banked
-    against future increments).
+    against future increments).  The store alone moves last_touched.
     """
 
-    leak_amount: int
-    leak_interval: float
-    anchor: float
-    raw: int = 0
+    __slots__ = ("leak_amount", "leak_interval", "anchor", "raw", "last_touched")
+
+    def __init__(
+        self, leak_amount: int, leak_interval: float, anchor: float, raw: int = 0
+    ) -> None:
+        self.leak_amount = leak_amount
+        self.leak_interval = leak_interval
+        self.anchor = anchor
+        self.raw = raw
+        self.last_touched = anchor
 
     def settle(self, now: float) -> None:
         if now <= self.anchor:
@@ -114,75 +120,23 @@ class CounterState:
         return self.raw
 
 
-class ContainerInstance:
-    """Live state for one (object, scope key) pair; the store alone
-    moves last_touched, when it resolves the instance."""
+class HeldSet:
+    """Collection instance: the values held, each capped at max_len bytes
+    on the way in and on lookup.  The store alone moves last_touched."""
 
-    __slots__ = ("descriptor", "created_at", "last_touched", "_values", "_counter")
+    __slots__ = ("max_len", "last_touched", "items")
 
-    def __init__(self, descriptor: ContainerDescriptor, now: float) -> None:
-        self.descriptor = descriptor
-        self.created_at = now
+    def __init__(self, max_len: int, now: float) -> None:
+        self.max_len = max_len
         self.last_touched = now
-        self._values: set | list | Counter | None
-        self._counter: CounterState | None
-        kind = descriptor.kind
-        if kind is ContainerKind.COUNTER:
-            self._values = None
-            self._counter = CounterState(
-                descriptor.leak_amount, descriptor.leak_interval, anchor=now
-            )
-        elif kind is ContainerKind.SET:
-            self._values = set()
-            self._counter = None
-        elif kind is ContainerKind.LIST:
-            self._values = []
-            self._counter = None
-        else:
-            self._values = Counter()
-            self._counter = None
+        self.items: set[str] = set()
 
     def insert(self, value: str) -> None:
-        if self._values is None:
-            raise TypeError(f"{self.descriptor.name} is a counter, not a collection")
-        value = normalize_value(value, self.descriptor.max_value_len)
-        if isinstance(self._values, set):
-            self._values.add(value)
-        elif isinstance(self._values, list):
-            self._values.append(value)
-        else:
-            self._values[value] += 1
+        self.items.add(normalize_value(value, self.max_len))
 
     def contains(self, value: str) -> bool:
-        if self._values is None:
-            raise TypeError(f"{self.descriptor.name} is a counter, not a collection")
-        value = normalize_value(value, self.descriptor.max_value_len)
-        return value in self._values
+        return normalize_value(value, self.max_len) in self.items
 
-    def multiplicity(self, value: str) -> int:
-        if not isinstance(self._values, Counter):
-            raise TypeError(f"{self.descriptor.name} is not a bag")
-        return self._values[normalize_value(value, self.descriptor.max_value_len)]
-
-    def counter_increment(self, now: float, amount: int = 1) -> int:
-        if self._counter is None:
-            raise TypeError(f"{self.descriptor.name} is not a counter")
-        return self._counter.increment(now, amount)
-
-    def counter_value(self, now: float) -> int:
-        if self._counter is None:
-            raise TypeError(f"{self.descriptor.name} is not a counter")
-        return self._counter.value(now)
-
-    def size(self) -> int:
-        if self._counter is not None:
-            return self._counter.raw
-        if isinstance(self._values, Counter):
-            return sum(self._values.values())
-        return len(self._values)  # type: ignore[arg-type]
-
-    def values(self):
-        return self._values
 
 
 def expire_head(
@@ -214,7 +168,7 @@ class StateStore:
 
     def __init__(self, descriptors: dict[str, ContainerDescriptor] | None = None):
         self._descriptors: dict[str, ContainerDescriptor] = dict(descriptors or {})
-        self._by_lifetime: dict[float | None, dict[tuple[str, tuple], ContainerInstance]] = {}
+        self._by_lifetime: dict[float | None, dict[tuple[str, tuple], CounterState | HeldSet]] = {}
         self._tables: dict[str, tuple[dict, float | None]] = {}  # name -> (table, lifetime)
         for name, desc in self._descriptors.items():
             life = desc.lifetime
@@ -222,7 +176,7 @@ class StateStore:
 
     def resolve(
         self, name: str, key: tuple, now: float, create: bool = True
-    ) -> ContainerInstance | None:
+    ) -> CounterState | HeldSet | None:
         """Live instance for (name, key), touched; without one, a fresh
         instance, or None when create is false (a read creates nothing).
         A key of another scope raises ValueError; it is checked on creation
@@ -248,11 +202,14 @@ class StateStore:
             raise ValueError(
                 f"object {name} is {desc.scope.value}-scoped, got the key {key!r}"
             )
-        inst = ContainerInstance(desc, now)
+        if desc.kind is ContainerKind.COUNTER:
+            inst = CounterState(desc.leak_amount, desc.leak_interval, now)
+        else:
+            inst = HeldSet(desc.max_value_len, now)
         table[slot] = inst
         return inst
 
-    def peek(self, name: str, key: tuple) -> ContainerInstance | None:
+    def peek(self, name: str, key: tuple) -> CounterState | HeldSet | None:
         return self._tables[name][0].get((name, key))
 
     def expire(self, now: float) -> int:

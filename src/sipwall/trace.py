@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .engine import Engine
+from .engine import Engine, Verdict
 
 __all__ = [
     "TraceRecord",
@@ -33,6 +33,7 @@ __all__ = [
     "write_trace",
     "ReplayReport",
     "replay",
+    "sleep_until",
 ]
 
 NDTRACE_HEADER = b"#ndtrace v1"
@@ -239,6 +240,16 @@ class ReplayReport:
     achieved_rate: float = 0.0
     latencies_ns: list[int] = field(default_factory=list)
 
+    def count(self, verdict: Verdict) -> None:
+        self.messages += 1
+        if verdict.malformed:
+            self.malformed += 1
+        elif verdict.decision == "drop":
+            self.dropped += 1
+        else:
+            self.forwarded += 1
+        self.latencies_ns.append(int(verdict.processing_time * 1e9))
+
 
 def replay(
     records: Iterable[TraceRecord],
@@ -265,13 +276,13 @@ def replay(
     for i, rec in enumerate(records):
         if pacing == "fixed":
             arrival = i / rate
-            _sleep_until(wall0 + arrival)
+            sleep_until(wall0 + arrival)
         else:
             arrival = rec.ts
             if pacing == "timed":
                 if first_ts is None:
                     first_ts = rec.ts
-                _sleep_until(wall0 + (rec.ts - first_ts))
+                sleep_until(wall0 + (rec.ts - first_ts))
         verdict = engine.process_message(
             rec.payload,
             direction=rec.direction,
@@ -279,14 +290,7 @@ def replay(
             dst=rec.dst,
             arrival_time=arrival,
         )
-        report.messages += 1
-        if verdict.malformed:
-            report.malformed += 1
-        elif verdict.decision == "drop":
-            report.dropped += 1
-        else:
-            report.forwarded += 1
-        report.latencies_ns.append(int(verdict.processing_time * 1e9))
+        report.count(verdict)
     engine.end_of_trace()
     report.wall_seconds = time.perf_counter() - wall0
     if report.wall_seconds > 0:
@@ -294,7 +298,7 @@ def replay(
     return report
 
 
-def _sleep_until(deadline: float) -> None:
+def sleep_until(deadline: float) -> None:
     # coarse sleep, then spin the last ~200us for tight release times
     while True:
         remaining = deadline - time.perf_counter()

@@ -125,6 +125,31 @@ class TestRunReplay:
                   "--trace", "x", "--pacing", "sometimes"])
 
 
+    def test_transaction_lifetime_reaches_the_tracker(self, capsys, tmp_path):
+        trace = tmp_path / "t.trace"
+        main(["gen-trace", "--kind", "clean-calls", "--out", str(trace), "--calls", "10"])
+        live = {}
+        for extra in ([], ["--transaction-lifetime", "1"]):
+            capsys.readouterr()
+            assert main(["run", "--rules", "builtin:bye_attack", "--mode", "replay",
+                         "--trace", str(trace), *extra]) == 0
+            live[bool(extra)] = capsys.readouterr().out.splitlines()[-1]
+        # the end-of-trace sweep forgets the transactions idle over 1 s
+        assert live[False] == "live: instances=20 transactions=30"
+        assert live[True] == "live: instances=20 transactions=3"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sweep-period", "0"), ("--sweep-period", "-3"), ("--sweep-period", "1.5"),
+        ("--dialog-lifetime", "-5"), ("--dialog-lifetime", "0"),
+        ("--transaction-lifetime", "0"), ("--transaction-lifetime", "nan"),
+    ])
+    def test_out_of_range_option_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--rules", "builtin:bye_attack", "--mode", "replay",
+                  "--trace", "x", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
 class TestGenTrace:
     def test_deterministic_output(self, capsys, tmp_path):
         a = tmp_path / "a.trace"

@@ -472,7 +472,7 @@ def test_engine_matches_reference_on_random_programs():
         end = msgs[-1].at
         for key in ref.counters:
             inst = engine.store.peek(key[0], key[1:])  # the reference keys by (name, *scope key)
-            assert inst is not None and inst.counter_value(end) == ref.level(key, end), text
+            assert inst is not None and inst.value(end) == ref.level(key, end), text
         assert engine.store.live_total() == len(ref.counters) + len(ref.colls), text
         seen += ref.seen
     for situation in ("negated", "absent field", "src given", "src absent",
@@ -548,8 +548,7 @@ def test_engine_matches_reference_with_expiry():
         period = rng.choice((1, 3, 7))
         program = compile_ruleset(parse_ruleset(text), scope_lifetimes={
             Scope(scope): life for scope, life in lifetimes.items()})
-        engine = Engine(program, sweep_period=period,
-                        transaction_lifetime=lifetimes["transaction"])
+        engine = Engine(program, sweep_period=period)
         ref = ExpiringReference(rules, lifetimes=lifetimes)
         at = 0.0
         for i in range(80):
@@ -571,7 +570,7 @@ def test_engine_matches_reference_with_expiry():
         assert engine.store.live_total() == len(ref.counters) + len(ref.colls), text
         for key in ref.counters:
             inst = engine.store.peek(key[0], key[1:])
-            assert inst is not None and inst.counter_value(at) == Reference.level(ref, key, at), text
+            assert inst is not None and inst.value(at) == Reference.level(ref, key, at), text
         seen += ref.seen
     for situation in ("expired on access", "swept"):
         assert seen[situation] > 100, f"{situation} too rarely exercised"

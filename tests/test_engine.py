@@ -101,7 +101,7 @@ class TestVerdicts:
         verdict = engine.process_message(invite())
         assert verdict.decision == "drop"
         inst = engine.store.peek("seen", GLOBAL_KEY)
-        assert inst is not None and inst.counter_value(0.0) == 1
+        assert inst is not None and inst.value(0.0) == 1
 
     def test_matched_excludes_non_matching_rules(self):
         program = compile_ruleset(parse_ruleset(builtin_ruleset("bye_attack")))
@@ -264,7 +264,7 @@ def class_counts(engine: Engine) -> tuple[int, int]:
     out = []
     for name in ("inv", "non"):
         inst = engine.store.peek(name, GLOBAL_KEY)
-        out.append(0 if inst is None else int(inst.counter_value(0.0)))
+        out.append(0 if inst is None else int(inst.value(0.0)))
     return tuple(out)
 
 
@@ -347,7 +347,8 @@ class TestTransactions:
         assert engine.transactions.records == {(branch, "REGISTER"): 0.3}
 
     def test_transaction_sweep(self):
-        engine = make_engine("", transaction_lifetime=1.0, sweep_period=4)
+        program = compile_ruleset(parse_ruleset(""), scope_lifetimes={Scope.TRANSACTION: 1.0})
+        engine = Engine(program, sweep_period=4)
         for n in range(4):
             engine.process_message(invite(n), arrival_time=float(n) * 0.1)
         assert engine.transactions.live() == 4
@@ -359,6 +360,21 @@ class TestTransactions:
         engine.process_message(invite(4), arrival_time=10.9)
         assert engine.transactions.sweep(11.8) == 3
         assert list(engine.transactions.records) == [("z9hG4bKtest0004", "INVITE")]
+
+    def test_tracker_takes_the_program_transaction_lifetime(self):
+        program = compile_ruleset(parse_ruleset(""), scope_lifetimes={Scope.TRANSACTION: 1.0})
+        engine = Engine(program)
+        engine.process_message(invite(0), arrival_time=0.0)
+        assert engine.transactions.sweep(2.0) == 1  # idle 2 s against a 1 s lifetime
+        assert engine.transactions.live() == 0
+
+    def test_no_transaction_lifetime_never_sweeps(self):
+        program = compile_ruleset(parse_ruleset(""), scope_lifetimes={Scope.TRANSACTION: None})
+        engine = Engine(program, sweep_period=1)
+        engine.process_message(invite(0), arrival_time=0.0)
+        engine.process_message(invite(1), arrival_time=1e9)
+        engine.end_of_trace()
+        assert engine.transactions.live() == 2
 
 
 class TestScopes:
@@ -498,6 +514,36 @@ class TestMemory:
             tracemalloc.stop()
         assert engine.store.live_total() == 20_001 and engine.transactions.live() == 20_000
         assert kept / len(records) <= 850
+
+    def test_repeated_values_add_nothing_to_a_collection(self):
+        # one dialog whose From and Via branch never change: once the first
+        # message has stored them, the repeats keep no further bytes
+        engine = Engine(
+            compile_ruleset(parse_ruleset(builtin_ruleset("collections"))), sweep_period=10**9
+        )
+        from_ = f"<sip:{'a' * 900}@client.example>;tag=f1"
+        msgs = [
+            build_request(
+                "INFO", "sip:bob@gw.example",
+                via="SIP/2.0/UDP 10.0.0.5:5060;branch=z9hG4bKrepeat",
+                from_=from_, to="<sip:bob@gw.example>;tag=t1",
+                call_id="repeat@client.example", cseq=f"{n + 2} INFO",
+            )
+            for n in range(20_000)
+        ]
+        for n, raw in enumerate(msgs[:10_000]):
+            engine.process_message(raw, arrival_time=n * 0.001)
+        gc.collect()
+        tracemalloc.start()  # counts only what the second 10,000 allocate
+        try:
+            for n, raw in enumerate(msgs[10_000:], 10_000):
+                engine.process_message(raw, arrival_time=n * 0.001)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert engine.store.live_total() == 2
+        assert kept < 64 * 1024
 
 
 class TestDeterminism:

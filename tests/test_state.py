@@ -5,7 +5,6 @@ import random
 import pytest
 
 from sipwall.engine import TransactionTracker
-from sipwall.parser import FieldPath
 from sipwall.state import (
     GLOBAL_KEY,
     ContainerDescriptor,
@@ -45,7 +44,6 @@ def make_store(**overrides) -> tuple[StateStore, ContainerDescriptor]:
         name="obj",
         kind=overrides.pop("kind", ContainerKind.SET),
         scope=overrides.pop("scope", Scope.DIALOG),
-        source=FieldPath.parse("FIELDS:sip.from"),
         **overrides,
     )
     return StateStore({"obj": desc}), desc
@@ -107,32 +105,26 @@ class TestContainers:
         inst = store.resolve("obj", dialog_scope(1), 0.0)
         inst.insert("a")
         inst.insert("a")
-        assert inst.size() == 1
+        assert inst.items == {"a"}
         assert inst.contains("a")
         assert not inst.contains("b")
 
-    def test_list_keeps_duplicates(self):
-        store, _ = make_store(kind=ContainerKind.LIST)
-        inst = store.resolve("obj", dialog_scope(1), 0.0)
-        inst.insert("a")
-        inst.insert("a")
-        assert inst.size() == 2
-        assert inst.contains("a")
-
-    def test_bag_counts_multiplicity(self):
-        store, _ = make_store(kind=ContainerKind.BAG)
-        inst = store.resolve("obj", dialog_scope(1), 0.0)
-        for _ in range(3):
-            inst.insert("x")
-        assert inst.multiplicity("x") == 3
-        assert inst.multiplicity("y") == 0
-        assert inst.size() == 3
+    def test_list_and_bag_answer_in_like_a_set(self):
+        # @in sees neither order nor multiplicity, so a repeat adds nothing
+        for kind in (ContainerKind.LIST, ContainerKind.BAG):
+            store, _ = make_store(kind=kind)
+            inst = store.resolve("obj", dialog_scope(1), 0.0)
+            for value in ("x", "y", "x", "x"):
+                inst.insert(value)
+            assert inst.items == {"x", "y"}
+            assert inst.contains("x") and inst.contains("y")
+            assert not inst.contains("z")
 
     def test_kind_misuse_raises(self):
         store, _ = make_store(kind=ContainerKind.SET)
         inst = store.resolve("obj", dialog_scope(1), 0.0)
-        with pytest.raises(TypeError):
-            inst.counter_increment(0.0)
+        with pytest.raises(AttributeError):
+            inst.increment(0.0)
         counters = StateStore(
             {
                 "c": ContainerDescriptor(
@@ -141,7 +133,7 @@ class TestContainers:
             }
         )
         c = counters.resolve("c", GLOBAL_KEY, 0.0)
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             c.insert("x")
 
     def test_insert_and_query_normalize(self):
@@ -152,7 +144,7 @@ class TestContainers:
         # is capped before lookup, so it still hits
         assert inst.contains("abcdefgh-LONG-TAIL")
         assert inst.contains("abcdefgh")
-        (stored,) = inst.values()
+        (stored,) = inst.items
         assert len(stored.encode()) <= 8
 
 
@@ -181,9 +173,10 @@ class TestStore:
         store, _ = make_store(lifetime=5.0)
         key = dialog_scope(1)
         store.resolve("obj", key, 0.0).insert("a")
+        stale = store.peek("obj", key)
         fresh = store.resolve("obj", key, 100.0)
-        assert not fresh.contains("a")
-        assert fresh.created_at == 100.0
+        assert fresh is not stale
+        assert fresh.last_touched == 100.0 and not fresh.items
 
     def test_read_without_create_makes_nothing(self):
         store, _ = make_store(lifetime=5.0)
@@ -218,9 +211,9 @@ class TestStore:
                 )
             }
         )
-        store.resolve("c", GLOBAL_KEY, 0.0).counter_increment(0.0)
+        store.resolve("c", GLOBAL_KEY, 0.0).increment(0.0)
         assert store.expire(1e9) == 0
-        assert store.resolve("c", GLOBAL_KEY, 1e9).counter_value(1e9) == 0
+        assert store.resolve("c", GLOBAL_KEY, 1e9).value(1e9) == 0
 
 
 # Two names share the short lifetime, so they share a table.
@@ -281,12 +274,14 @@ class TestOrderedExpiry:
                 old = ref.pop(slot, None)
                 if old is not None and idle(now, old[1], LIFETIMES[name]):
                     old = None
+                stale = store.peek(name, key)
                 got = store.resolve(name, key, now, create=create)
                 if old is not None:
                     assert got is old[0]
                     ref[slot] = (got, max(old[1], now))
                 elif create:
-                    assert got is not None and got.created_at == now
+                    assert got is not None and got is not stale
+                    assert got.last_touched == now and not got.items
                     ref[slot] = (got, now)
                 else:
                     assert got is None
