@@ -31,6 +31,12 @@ __all__ = [
 
 DEFAULT_SWEEP_PERIOD = 256
 
+# A periodic sweep evicts at most max(SWEEP_LIMIT_FLOOR, 4 * sweep_period)
+# entries per table, so a backlog (an idle gap, a burst) is paid over
+# several sweeps rather than by one message, and a sweep still keeps up
+# with up to four new entries per table per message.
+SWEEP_LIMIT_FLOOR = 1024
+
 
 @dataclass
 class Verdict:
@@ -60,10 +66,12 @@ class MessageContext:
 
 class TransactionTracker:
     """Last-seen time per transaction key, in order of last sighting; the
-    sweep forgets keys idle longer than the lifetime, none without one."""
+    sweep forgets keys idle longer than the lifetime, at most sweep_limit
+    of them (None: no limit), and none without a lifetime."""
 
-    def __init__(self, lifetime: float | None):
+    def __init__(self, lifetime: float | None, sweep_limit: int | None = None):
         self.lifetime = lifetime
+        self.sweep_limit = sweep_limit
         self.records: dict[tuple[str, str], float] = {}
 
     def update(self, key: tuple[str, str], now: float) -> None:
@@ -75,7 +83,7 @@ class TransactionTracker:
     def sweep(self, now: float) -> int:
         if self.lifetime is None:
             return 0
-        return expire_head(self.records, now, self.lifetime)
+        return expire_head(self.records, now, self.lifetime, limit=self.sweep_limit)
 
     def live(self) -> int:
         return len(self.records)
@@ -167,8 +175,9 @@ class _Block(NamedTuple):
 class Engine:
     def __init__(self, program: RuleProgram, *, sweep_period: int = DEFAULT_SWEEP_PERIOD):
         self.program = program
-        self.store = StateStore(program.declared_objects)
-        self.transactions = TransactionTracker(program.lifetimes[Scope.TRANSACTION])
+        limit = max(SWEEP_LIMIT_FLOOR, 4 * sweep_period)
+        self.store = StateStore(program.declared_objects, limit)
+        self.transactions = TransactionTracker(program.lifetimes[Scope.TRANSACTION], limit)
         self.stats = EngineStats()
         self.sweep_period = sweep_period
         self._since_sweep = 0
@@ -264,8 +273,11 @@ class Engine:
         )
 
     def end_of_trace(self) -> None:
-        self.store.expire(self._clock)
-        self.transactions.sweep(self._clock)
+        # every sweep is capped, so sweep until one evicts nothing
+        while self.store.expire(self._clock):
+            pass
+        while self.transactions.sweep(self._clock):
+            pass
         self._since_sweep = 0
 
     def snapshot(self) -> dict:

@@ -156,15 +156,6 @@ class ParseTree:
     nodes: dict[int, ParseNode]
     raw_length: int
 
-    def node(self, field_id: int | None) -> ParseNode | None:
-        if field_id is None:
-            return None
-        return self.nodes.get(field_id)
-
-    def value_of(self, field_id: int | None) -> str | None:
-        node = self.node(field_id)
-        return None if node is None else node.value
-
 
 def _truncate_len(data: bytes, max_len: int) -> int:
     """Longest prefix length <= max_len that splits neither a UTF-8 character
@@ -298,6 +289,7 @@ class SipParser:
         # entry) per sub-part]]), and the body's entry
         self._start_plan: dict[str, _Entry] = {}
         self._header_plans: dict[bytes, list] = {}
+        self._all_families = 0  # the bits of every planned family
         self._body_entry: _Entry | None = None
         self._key_ids: tuple[int | None, ...] | None = None
         self.parse_events = 0
@@ -351,6 +343,7 @@ class SipParser:
                 else:
                     plan[2].append((*_PART_SPAN[part], entry))
                     plan[2].sort()
+        self._all_families = (1 << families) - 1
         self._key_ids = self._key_field_ids()
         self._sealed = True
 
@@ -377,10 +370,11 @@ class SipParser:
         nodes: dict[int, ParseNode] = {}
         kind, method, status = self._parse_start_line(raw, line_end, nodes)
         body_start = end
-        if nl >= 0:
+        if nl >= 0 and (self._all_families or self._body_entry is not None):
             blank = _BLANK_LINE_RE.search(raw, nl)
             head_end = end if blank is None else blank.start()
-            self._scan_headers(raw, raw[:head_end].lower(), nl, head_end, nodes)
+            if self._all_families:
+                self._scan_headers(raw, raw[:head_end].lower(), nl, head_end, nodes)
             if blank is not None:
                 body_start = blank.end()
 
@@ -394,21 +388,22 @@ class SipParser:
     def extract_dialog_key(self, tree: ParseTree) -> tuple[str, str, str] | None:
         """(call_id, from_tag, to_tag), a missing tag as ""; None without a Call-ID."""
         call_id_id, from_tag_id, to_tag_id, _, _ = self._key_ids or self._key_field_ids()
-        call_id = tree.value_of(call_id_id)
-        if not call_id:
+        get = tree.nodes.get  # a None id finds no node
+        call_id = get(call_id_id)
+        if call_id is None or not call_id.value:
             return None
-        from_tag = tree.value_of(from_tag_id) or ""
-        to_tag = tree.value_of(to_tag_id) or ""
-        return call_id, from_tag, to_tag
+        from_tag, to_tag = get(from_tag_id), get(to_tag_id)
+        return (call_id.value, "" if from_tag is None else from_tag.value,
+                "" if to_tag is None else to_tag.value)
 
     def extract_transaction_key(self, tree: ParseTree) -> tuple[str, str] | None:
         """(topmost Via branch, CSeq method); None when either is missing."""
         _, _, _, branch_id, method_id = self._key_ids or self._key_field_ids()
-        branch = tree.value_of(branch_id)
-        cseq_method = tree.value_of(method_id)
-        if not branch or not cseq_method:
+        get = tree.nodes.get
+        branch, cseq_method = get(branch_id), get(method_id)
+        if branch is None or cseq_method is None or not branch.value or not cseq_method.value:
             return None
-        return branch, cseq_method
+        return branch.value, cseq_method.value
 
     # ------------------------------------------------------------------
     # internals
@@ -442,11 +437,12 @@ class SipParser:
         which starts at the start line's newline and ends before the blank
         line.  ``lowered`` is raw[:end].lower().
 
-        Only the topmost header of a family counts.  A value's span is
-        trimmed of blanks; a blank value sits where its last line's content
-        ends, before the line's CR.
+        Only the topmost header of a family counts, so the scan stops once
+        every planned family has been seen.  A value's span is trimmed of
+        blanks; a blank value sits where its last line's content ends,
+        before the line's CR.
         """
-        plans, search = self._header_plans, _HEADER_RE.search
+        plans, search, every = self._header_plans, _HEADER_RE.search, self._all_families
         seen = 0
         # a search loop, not finditer: tracemalloc sees finditer's iterators
         # keep a slowly filling, bounded pool of blocks, which a per-message
@@ -464,16 +460,33 @@ class SipParser:
             if raw[e - 1] == 0x0D:  # only a blank value ends on a CR
                 e -= 1
                 s = e
+            # a node is built inline unless a cap applies (_node)
             if whole is not None:
-                parent = nodes[whole[0]] = _node(raw, whole, s, e)
-                e = parent.end  # children must stay inside a capped parent span
+                fid, ftype, cap = whole
+                if cap is None:
+                    parent = nodes[fid] = ParseNode(
+                        fid, ftype, s, e, raw[s:e].decode("utf-8", "replace").strip()
+                    )
+                else:
+                    parent = nodes[fid] = _node(raw, whole, s, e)
+                    e = parent.end  # children must stay inside a capped parent span
             if parts:
                 children = []
                 for _, span_of, entry in parts:
                     span = span_of(raw, s, e)
                     if span is not None:
-                        child = nodes[entry[0]] = _node(raw, entry, *span)
+                        fid, ftype, cap = entry
+                        if cap is None:
+                            cs, ce = span
+                            child = ParseNode(
+                                fid, ftype, cs, ce, raw[cs:ce].decode("utf-8", "replace").strip()
+                            )
+                        else:
+                            child = _node(raw, entry, *span)
+                        nodes[fid] = child
                         children.append(child)
                 if whole is not None and children:
                     parent.children = tuple(children)
+            if seen == every:  # the rest of the section holds no topmost header
+                break
         self.parse_events += seen.bit_count()  # one event per family extracted

@@ -9,7 +9,8 @@ A set, list or bag object is held as a set of its capped values (HeldSet):
 A counter object is a CounterState.
 Expiry is lazy: a stale instance is discarded when resolved.  Each
 table keeps its entries in order of last touch, so a sweep pops expired
-entries off the head and stops at the first live one (expire_head).  All
+entries off the head and stops at the first live one, or at its limit
+(expire_head).  All
 time handling uses the engine clock passed in by the caller; nothing
 here reads the wall clock, and that clock is taken not to go backwards.
 If it does, eviction can only come late, never early.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from operator import attrgetter
 from typing import Callable
 
@@ -140,17 +142,22 @@ class HeldSet:
 
 
 def expire_head(
-    table: dict, now: float, lifetime: float, seen: Callable[[object], float] = float
+    table: dict,
+    now: float,
+    lifetime: float,
+    seen: Callable[[object], float] = float,
+    limit: int | None = None,
 ) -> int:
     """Delete the entries at the head of table idle longer than lifetime,
-    up to the first that is not; seen reads an entry's last-touch time off
-    its value, which by default is that time.
+    up to the first that is not and at most limit of them (None: no
+    limit); seen reads an entry's last-touch time off its value, which by
+    default is that time.
 
     The table must be in order of last touch, each touch moving its entry
     to the tail, so the entries after the first live one are live too.
     """
     dead = []
-    for key, value in table.items():
+    for key, value in islice(table.items(), limit):
         if not now - seen(value) > lifetime:
             break
         dead.append(key)
@@ -164,9 +171,15 @@ _LAST_TOUCHED = attrgetter("last_touched")
 
 class StateStore:
     """Instances in one table per distinct lifetime, each table in order of
-    last touch; a table without a lifetime is never reordered or swept."""
+    last touch; a table without a lifetime is never reordered or swept.
+    A sweep evicts at most sweep_limit instances per table (None: no limit)."""
 
-    def __init__(self, descriptors: dict[str, ContainerDescriptor] | None = None):
+    def __init__(
+        self,
+        descriptors: dict[str, ContainerDescriptor] | None = None,
+        sweep_limit: int | None = None,
+    ):
+        self.sweep_limit = sweep_limit
         self._descriptors: dict[str, ContainerDescriptor] = dict(descriptors or {})
         self._by_lifetime: dict[float | None, dict[tuple[str, tuple], CounterState | HeldSet]] = {}
         self._tables: dict[str, tuple[dict, float | None]] = {}  # name -> (table, lifetime)
@@ -213,10 +226,12 @@ class StateStore:
         return self._tables[name][0].get((name, key))
 
     def expire(self, now: float) -> int:
-        """Evict every instance idle longer than its lifetime (on a clock
-        that has not gone backwards; otherwise some are left for later)."""
+        """Evict the instances idle longer than their lifetime, at most
+        sweep_limit per table; the rest are left for later, and so are
+        some on a clock that has gone backwards."""
+        limit = self.sweep_limit
         return sum(
-            expire_head(table, now, life, _LAST_TOUCHED)
+            expire_head(table, now, life, _LAST_TOUCHED, limit=limit)
             for life, table in self._by_lifetime.items()
             if life is not None
         )

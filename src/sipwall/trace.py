@@ -20,7 +20,7 @@ import re
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .engine import Engine, Verdict
 
@@ -47,8 +47,9 @@ class TraceFormatError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One datagram of a trace: immutable, and built in one step."""
+
     ts: float  # seconds, microsecond precision
     direction: str  # "in" | "out"
     src: tuple[str, int]
@@ -99,7 +100,8 @@ def read_ndtrace(path: str) -> Iterator[TraceRecord]:
                 raise TraceFormatError(
                     f"{path}: record {index}: bad metadata line {line[:80]!r}"
                 )
-            length = int(m.group(7))
+            ts, direction, src_host, src_port, dst_host, dst_port, length = m.groups()
+            length = int(length)
             payload = fh.read(length)
             if len(payload) != length:
                 raise TraceFormatError(f"{path}: record {index}: truncated payload")
@@ -107,18 +109,28 @@ def read_ndtrace(path: str) -> Iterator[TraceRecord]:
                 raise TraceFormatError(
                     f"{path}: record {index}: missing payload terminator"
                 )
-            ts = float(m.group(1))
+            try:
+                ts = float(ts)
+            except ValueError:
+                raise TraceFormatError(
+                    f"{path}: record {index}: unreadable timestamp {ts[:32]!r}"
+                ) from None
             if prev_ts is not None and ts < prev_ts:
                 raise TraceFormatError(
                     f"{path}: record {index}: timestamp {ts} before {prev_ts}"
                 )
             prev_ts = ts
+            src_port, dst_port = int(src_port), int(dst_port)
+            if src_port > 65535 or dst_port > 65535:
+                raise TraceFormatError(
+                    f"{path}: record {index}: port {max(src_port, dst_port)} out of range"
+                )
             yield TraceRecord(
-                ts=ts,
-                direction=m.group(2).decode(),
-                src=(m.group(3).decode(), int(m.group(4))),
-                dst=(m.group(5).decode(), int(m.group(6))),
-                payload=payload,
+                ts,
+                direction.decode(),
+                (src_host.decode(), src_port),
+                (dst_host.decode(), dst_port),
+                payload,
             )
 
 

@@ -377,6 +377,53 @@ class TestTransactions:
         assert engine.transactions.live() == 2
 
 
+class TestSweepBound:
+    def test_a_backlog_is_swept_in_bounded_steps(self):
+        # a flood, then an idle gap longer than every lifetime: the whole
+        # flood has expired at once, and no one message may pay for it
+        program = compile_ruleset(parse_ruleset(builtin_ruleset("invite_flood")))
+        engine = Engine(program, sweep_period=256)
+        limit = engine.store.sweep_limit
+        assert limit == engine.transactions.sweep_limit == 1024
+        flood = gen_invite_flood(count=47 * limit, rate=2000.0, seed=11)
+        after = gen_invite_flood(count=47 * 256, rate=2000.0, seed=12, start=flood[-1].ts + 3600.0)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for r in flood:
+                engine.process_message(r.payload, src=r.src, arrival_time=r.ts)
+            backlog = engine.transactions.live()
+            assert backlog == len(flood) and engine.store.live_total() == len(flood) + 1
+            lives = []
+            for i, r in enumerate(after):
+                v = engine.process_message(r.payload, src=r.src, arrival_time=r.ts)
+                if i == 255:  # the first sweep after the gap
+                    assert v.processing_time < 0.005
+                if i % 256 == 255:
+                    lives.append((engine.store.live_total(), engine.transactions.live()))
+        finally:
+            if was_enabled:
+                gc.enable()
+        # each sweep evicts `limit` expired entries per table while 256 fresh
+        # ones arrive, so the backlog is gone after backlog / limit sweeps
+        assert len(lives) == backlog // limit == 47
+        for k, (live, tx) in enumerate(lives, 1):
+            assert tx == backlog - k * limit + k * 256
+            assert live == tx + 1  # one dialog instance per INVITE, one global counter
+        engine.end_of_trace()
+        assert (engine.store.live_total(), engine.transactions.live()) == lives[-1]
+
+    def test_end_of_trace_drains_past_the_limit(self):
+        engine = make_engine("secsipaction hold:peers=set[FIELDS:sip.from]\n", sweep_period=10**6)
+        engine.store.sweep_limit = engine.transactions.sweep_limit = 2
+        for n in range(7):
+            engine.process_message(invite(n), arrival_time=float(n))
+        engine.process_message(invite(7), arrival_time=1e6)
+        assert engine.store.expire(1e6) == 2 and engine.transactions.sweep(1e6) == 2
+        engine.end_of_trace()
+        assert engine.store.live_total() == engine.transactions.live() == 1
+
+
 class TestScopes:
     def test_dialog_isolation(self):
         engine = make_engine(

@@ -6,6 +6,9 @@ salted with CR, LF, tabs, colons, vertical tabs, form feeds, folds and
 compact or oddly cased names.  Every tree (offsets, values, children),
 every MalformedMessage and every ``parse_events`` step must agree, with
 and without ``@normalize`` caps and with only some families registered.
+The scan stops once every planned family has been seen, so the
+configurations include planned families after unplanned ones, repeats
+after every planned family, a body field and no header family at all.
 """
 
 from __future__ import annotations
@@ -30,6 +33,17 @@ SEEDS = [rec.payload for rec in gen_bye_attack(calls=1, seed=1)] + [
     b"CSeq: 1 INVITE\r\n"
     b"Subject: line one\r\n\tline two\r\n"
     b"l: 4\r\n\r\nbody",
+    # planned families repeated after the first of each has been seen
+    b"BYE sip:x@y SIP/2.0\r\n"
+    b"Via: SIP/2.0/UDP 10.0.0.5:5060;branch=z9hG4bKtop\r\n"
+    b"Call-ID: top@x\r\n"
+    b"From: <sip:a@b>;tag=top\r\n"
+    b"CSeq: 2 BYE\r\n"
+    b"X-Other: v\r\n"
+    b"Via: SIP/2.0/UDP 10.0.0.6:5060;branch=z9hG4bKlower\r\n"
+    b"f: <sip:late@b>;tag=late\r\n"
+    b"i: late@x\r\n"
+    b"CSeq: 3 INFO\r\n\r\nbody",
 ]
 
 # what the whitespace corpus splices into a message
@@ -51,6 +65,11 @@ CONFIGS = {
     "some families, capped": (["FIELDS:sip.to.tag", "FIELDS:sip.content_length",
                                "FIELDS:sip.from.addr", "FIELDS:sip.cseq"],
                               {"FIELDS:sip.to.tag": 2, "FIELDS:sip.cseq": 4}),
+    "planned after unplanned": (["FIELDS:sip.content_length", "FIELDS:sip.user_agent"], {}),
+    "repeated after all seen": (["FIELDS:sip.via.branch", "FIELDS:sip.call_id",
+                                 "FIELDS:sip.from.tag", "FIELDS:sip.cseq.method"], {}),
+    "body field": (["BODY:raw", "FIELDS:sip.via.branch"], {}),
+    "start line only": (["FIELDS:sip.method", "FIELDS:sip.uri", "FIELDS:sip.status"], {}),
 }
 
 
@@ -111,4 +130,16 @@ def test_one_pass_scan_matches_the_walker(config, corpus):
         assert got == want, raw
         parsed += not isinstance(got[0], str)
     assert parsed > 1000
-    assert fast.parse_events == slow.parse_events > 0
+    headers = any(not FIELD_CATALOG[key][1].startswith("@") for key in fields)
+    assert fast.parse_events == slow.parse_events
+    assert (fast.parse_events > 0) == headers  # a start-line program scans nothing
+
+
+def test_topmost_header_wins_after_every_family_is_seen():
+    fields, _ = CONFIGS["repeated after all seen"]
+    parser = build(SipParser, fields, {})
+    tree, events = outcome(parser, SEEDS[-1])
+    values = {key: tree.nodes[parser.field_id(key)].value for key in fields}
+    assert values == {"FIELDS:sip.via.branch": "z9hG4bKtop", "FIELDS:sip.call_id": "top@x",
+                      "FIELDS:sip.from.tag": "top", "FIELDS:sip.cseq.method": "BYE"}
+    assert events == 4

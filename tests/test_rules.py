@@ -93,7 +93,7 @@ class TestParsing:
         assert rule.clauses[0].kind is ClauseKind.NORMALIZE
         parser = compile_ruleset([rule]).parser
         raw = b"INVITE sip:" + b"u" * 100 + b"@gw.example SIP/2.0\r\nCall-ID: n@x\r\n\r\n"
-        uri = parser.parse_message(raw).value_of(parser.field_id("FIELDS:sip.uri"))
+        uri = parser.parse_message(raw).nodes[parser.field_id("FIELDS:sip.uri")].value
         assert uri == "sip:" + "u" * 60  # capped at 64 bytes by the parser
 
     def test_scope_suffixes(self):

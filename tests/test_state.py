@@ -198,6 +198,16 @@ class TestStore:
         assert store.live_total() == 1
         assert store.peek("obj", dialog_scope(2)) is not None
 
+    def test_expire_evicts_at_most_the_sweep_limit_per_table(self):
+        store, _ = make_store(lifetime=10.0)
+        store.sweep_limit = 2
+        for n in range(5):
+            store.resolve("obj", dialog_scope(n), float(n))
+        store.resolve("obj", dialog_scope(9), 50.0)
+        assert [store.expire(55.0) for _ in range(4)] == [2, 2, 1, 0]
+        assert store.live_total() == 1
+        assert store.peek("obj", dialog_scope(9)) is not None
+
     def test_no_lifetime_never_expires_but_leaks(self):
         store = StateStore(
             {

@@ -104,6 +104,38 @@ class TestNdtrace:
         with pytest.raises(TraceFormatError, match="record 3"):
             list(read_ndtrace(path))
 
+    def test_rejects_unreadable_timestamp(self, tmp_path):
+        # the metadata pattern admits "1.2.3"; float() does not
+        path = tmp_path / "bad"
+        path.write_bytes(
+            b"#ndtrace v1\n"
+            b"ts=1.000000 dir=in src=10.0.0.5:5060 dst=10.0.0.9:5060 len=1\nx\n"
+            b"ts=1.2.3 dir=in src=10.0.0.5:5060 dst=10.0.0.9:5060 len=1\ny\n"
+        )
+        with pytest.raises(TraceFormatError, match="record 2: unreadable timestamp"):
+            list(read_ndtrace(str(path)))
+
+    @pytest.mark.parametrize("src, dst", [("a:99999999999", "b:5060"), ("a:5060", "b:65536")])
+    def test_rejects_port_out_of_range(self, tmp_path, src, dst):
+        path = tmp_path / "bad"
+        path.write_bytes(
+            b"#ndtrace v1\n"
+            + f"ts=1.000000 dir=in src={src} dst={dst} len=1\nx\n".encode()
+        )
+        with pytest.raises(TraceFormatError, match="record 1: port .* out of range"):
+            list(read_ndtrace(str(path)))
+
+    def test_accepts_the_port_bounds(self, tmp_path):
+        rec = TraceRecord(0.5, "in", ("a", 0), ("b", 65535), b"p")
+        path = str(tmp_path / "t.ndtrace")
+        write_trace([rec], path)
+        assert list(read_ndtrace(path)) == [rec]
+
+    def test_records_are_immutable(self):
+        rec = TraceRecord(0.5, "in", ("a", 1), ("b", 2), b"p")
+        with pytest.raises(AttributeError):
+            rec.ts = 1.0
+
     def test_ipv6_style_hosts_survive(self, tmp_path):
         # host part is everything before the last colon
         rec = TraceRecord(0.5, "out", ("2001:db8::1", 5060), ("2001:db8::2", 6000), b"p")
