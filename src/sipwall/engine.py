@@ -31,12 +31,6 @@ __all__ = [
 
 DEFAULT_SWEEP_PERIOD = 256
 
-# A periodic sweep evicts at most max(SWEEP_LIMIT_FLOOR, 4 * sweep_period)
-# entries per table, so a backlog (an idle gap, a burst) is paid over
-# several sweeps rather than by one message, and a sweep still keeps up
-# with up to four new entries per table per message.
-SWEEP_LIMIT_FLOOR = 1024
-
 
 @dataclass
 class Verdict:
@@ -66,13 +60,13 @@ class MessageContext:
 
 class TransactionTracker:
     """Last-seen time per transaction key, in order of last sighting; the
-    sweep forgets keys idle longer than the lifetime, at most sweep_limit
-    of them (None: no limit), and none without a lifetime."""
+    sweep forgets keys idle longer than the lifetime, as many as
+    expire_head allows, and none without a lifetime."""
 
-    def __init__(self, lifetime: float | None, sweep_limit: int | None = None):
+    def __init__(self, lifetime: float | None):
         self.lifetime = lifetime
-        self.sweep_limit = sweep_limit
         self.records: dict[tuple[str, str], float] = {}
+        self._swept_size = 0  # len(records) after the last sweep
 
     def update(self, key: tuple[str, str], now: float) -> None:
         records = self.records
@@ -83,7 +77,10 @@ class TransactionTracker:
     def sweep(self, now: float) -> int:
         if self.lifetime is None:
             return 0
-        return expire_head(self.records, now, self.lifetime, limit=self.sweep_limit)
+        records = self.records
+        evicted = expire_head(records, now, self.lifetime, self._swept_size)
+        self._swept_size = len(records)
+        return evicted
 
     def live(self) -> int:
         return len(self.records)
@@ -175,9 +172,8 @@ class _Block(NamedTuple):
 class Engine:
     def __init__(self, program: RuleProgram, *, sweep_period: int = DEFAULT_SWEEP_PERIOD):
         self.program = program
-        limit = max(SWEEP_LIMIT_FLOOR, 4 * sweep_period)
-        self.store = StateStore(program.declared_objects, limit)
-        self.transactions = TransactionTracker(program.lifetimes[Scope.TRANSACTION], limit)
+        self.store = StateStore(program.declared_objects)
+        self.transactions = TransactionTracker(program.lifetimes[Scope.TRANSACTION])
         self.stats = EngineStats()
         self.sweep_period = sweep_period
         self._since_sweep = 0

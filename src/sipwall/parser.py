@@ -370,11 +370,10 @@ class SipParser:
         nodes: dict[int, ParseNode] = {}
         kind, method, status = self._parse_start_line(raw, line_end, nodes)
         body_start = end
-        if nl >= 0 and (self._all_families or self._body_entry is not None):
+        if nl >= 0:
             blank = _BLANK_LINE_RE.search(raw, nl)
             head_end = end if blank is None else blank.start()
-            if self._all_families:
-                self._scan_headers(raw, raw[:head_end].lower(), nl, head_end, nodes)
+            self._scan_headers(raw, raw[:head_end].lower(), nl, head_end, nodes)
             if blank is not None:
                 body_start = blank.end()
 

@@ -9,11 +9,11 @@ A set, list or bag object is held as a set of its capped values (HeldSet):
 A counter object is a CounterState.
 Expiry is lazy: a stale instance is discarded when resolved.  Each
 table keeps its entries in order of last touch, so a sweep pops expired
-entries off the head and stops at the first live one, or at its limit
-(expire_head).  All
-time handling uses the engine clock passed in by the caller; nothing
-here reads the wall clock, and that clock is taken not to go backwards.
-If it does, eviction can only come late, never early.
+entries off the head and stops at the first live one, or at a limit
+that follows the table's growth (expire_head).  All time handling uses
+the engine clock passed in by the caller; nothing here reads the wall
+clock, and that clock is taken not to go backwards.  If it does,
+eviction can only come late, never early.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "StateStore",
     "DEFAULT_LIFETIMES",
     "DEFAULT_MAX_VALUE_LEN",
+    "SWEEP_FLOOR",
     "expire_head",
 ]
 
@@ -141,22 +142,31 @@ class HeldSet:
 
 
 
+# A sweep evicts at most max(SWEEP_FLOOR, 2 * growth) entries of a table,
+# growth being what the table gained since its last sweep: eviction
+# outpaces any insertion rate, yet a backlog (an idle gap, a burst) is
+# paid over several sweeps rather than by one message.
+SWEEP_FLOOR = 1024
+
+
 def expire_head(
     table: dict,
     now: float,
     lifetime: float,
+    swept_size: int,
     seen: Callable[[object], float] = float,
-    limit: int | None = None,
 ) -> int:
     """Delete the entries at the head of table idle longer than lifetime,
-    up to the first that is not and at most limit of them (None: no
-    limit); seen reads an entry's last-touch time off its value, which by
-    default is that time.
+    up to the first that is not and at most max(SWEEP_FLOOR, twice the
+    growth since the last sweep, which left swept_size entries); seen
+    reads an entry's last-touch time off its value, which by default is
+    that time.
 
     The table must be in order of last touch, each touch moving its entry
     to the tail, so the entries after the first live one are live too.
     """
     dead = []
+    limit = max(SWEEP_FLOOR, 2 * (len(table) - swept_size))
     for key, value in islice(table.items(), limit):
         if not now - seen(value) > lifetime:
             break
@@ -171,21 +181,17 @@ _LAST_TOUCHED = attrgetter("last_touched")
 
 class StateStore:
     """Instances in one table per distinct lifetime, each table in order of
-    last touch; a table without a lifetime is never reordered or swept.
-    A sweep evicts at most sweep_limit instances per table (None: no limit)."""
+    last touch; a table without a lifetime is never reordered or swept."""
 
-    def __init__(
-        self,
-        descriptors: dict[str, ContainerDescriptor] | None = None,
-        sweep_limit: int | None = None,
-    ):
-        self.sweep_limit = sweep_limit
+    def __init__(self, descriptors: dict[str, ContainerDescriptor] | None = None):
         self._descriptors: dict[str, ContainerDescriptor] = dict(descriptors or {})
         self._by_lifetime: dict[float | None, dict[tuple[str, tuple], CounterState | HeldSet]] = {}
         self._tables: dict[str, tuple[dict, float | None]] = {}  # name -> (table, lifetime)
         for name, desc in self._descriptors.items():
             life = desc.lifetime
             self._tables[name] = (self._by_lifetime.setdefault(life, {}), life)
+        # each swept table's size after its last sweep (expire_head)
+        self._swept_size = {life: 0 for life in self._by_lifetime if life is not None}
 
     def resolve(
         self, name: str, key: tuple, now: float, create: bool = True
@@ -226,15 +232,15 @@ class StateStore:
         return self._tables[name][0].get((name, key))
 
     def expire(self, now: float) -> int:
-        """Evict the instances idle longer than their lifetime, at most
-        sweep_limit per table; the rest are left for later, and so are
-        some on a clock that has gone backwards."""
-        limit = self.sweep_limit
-        return sum(
-            expire_head(table, now, life, _LAST_TOUCHED, limit=limit)
-            for life, table in self._by_lifetime.items()
-            if life is not None
-        )
+        """Evict the instances idle longer than their lifetime, as many per
+        table as expire_head allows; the rest are left for later, and so
+        are some on a clock that has gone backwards."""
+        evicted, swept_size = 0, self._swept_size
+        for life, size in swept_size.items():
+            table = self._by_lifetime[life]
+            evicted += expire_head(table, now, life, size, _LAST_TOUCHED)
+            swept_size[life] = len(table)
+        return evicted
 
     def live_counts(self) -> dict[str, int]:
         counts = {name: 0 for name in self._descriptors}

@@ -39,8 +39,8 @@ __all__ = [
 NDTRACE_HEADER = b"#ndtrace v1"
 
 _META_RE = re.compile(
-    rb"^ts=([0-9.eE+-]+) dir=(in|out) src=(\S+):(\d+) dst=(\S+):(\d+) len=(\d+)$"
-)
+    rb"^ts=([0-9.eE+-]+) dir=(in|out) src=(\S+):(\d{1,5}) dst=(\S+):(\d{1,5}) len=(\d{1,9})$"
+)  # bounded digits: a longer port or length is a bad metadata line
 
 
 class TraceFormatError(Exception):

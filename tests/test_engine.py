@@ -18,7 +18,8 @@ from sipwall.gen import (
     gen_invite_flood,
 )
 from sipwall.rules import compile_ruleset, parse_ruleset
-from sipwall.state import GLOBAL_KEY, Scope
+from sipwall import state
+from sipwall.state import GLOBAL_KEY, SWEEP_FLOOR, Scope
 
 
 def make_engine(text: str, **kwargs) -> Engine:
@@ -383,8 +384,9 @@ class TestSweepBound:
         # flood has expired at once, and no one message may pay for it
         program = compile_ruleset(parse_ruleset(builtin_ruleset("invite_flood")))
         engine = Engine(program, sweep_period=256)
-        limit = engine.store.sweep_limit
-        assert limit == engine.transactions.sweep_limit == 1024
+        # 256 new entries per table per sweep: the limit is the floor
+        limit = max(SWEEP_FLOOR, 2 * 256)
+        assert limit == 1024
         flood = gen_invite_flood(count=47 * limit, rate=2000.0, seed=11)
         after = gen_invite_flood(count=47 * 256, rate=2000.0, seed=12, start=flood[-1].ts + 3600.0)
         was_enabled = gc.isenabled()
@@ -413,12 +415,37 @@ class TestSweepBound:
         engine.end_of_trace()
         assert (engine.store.live_total(), engine.transactions.live()) == lives[-1]
 
-    def test_end_of_trace_drains_past_the_limit(self):
+    def test_sweeps_keep_up_with_many_holds_per_dialog(self):
+        # six dialog objects share one table, so each flood INVITE adds six
+        # instances: 1,536 per 256-message sweep, more than the floor
+        holds = 6
+        text = "".join(
+            f"secsipaction hold:h{i}=set[FIELDS:sip.from]\n" for i in range(holds)
+        )
+        program = compile_ruleset(parse_ruleset(text), scope_lifetimes={Scope.DIALOG: 1.0})
+        engine = Engine(program, sweep_period=256)
+        rate = 2000.0
+        flood = gen_invite_flood(count=24_000, rate=rate, seed=13)  # 12 lifetimes
+        peak = 0
+        for i, r in enumerate(flood):
+            engine.process_message(r.payload, src=r.src, arrival_time=r.ts)
+            if i % 256 == 255:
+                peak = max(peak, engine.store.live_total())
+        # one lifetime of live instances and the sweep period's arrivals;
+        # a cap that lagged the arrivals would add 512 per sweep, past this
+        # bound within a few lifetimes
+        assert peak <= holds * (rate * 1.0 + 2 * 256)
+        assert peak >= holds * rate * 1.0
+
+    def test_end_of_trace_drains_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(state, "SWEEP_FLOOR", 2)
         engine = make_engine("secsipaction hold:peers=set[FIELDS:sip.from]\n", sweep_period=10**6)
-        engine.store.sweep_limit = engine.transactions.sweep_limit = 2
         for n in range(7):
             engine.process_message(invite(n), arrival_time=float(n))
+        # a sweep that finds nothing idle sets each table's size to grow from
+        assert engine.store.expire(6.0) == 0 and engine.transactions.sweep(6.0) == 0
         engine.process_message(invite(7), arrival_time=1e6)
+        # one entry since then: twice that is the floor
         assert engine.store.expire(1e6) == 2 and engine.transactions.sweep(1e6) == 2
         engine.end_of_trace()
         assert engine.store.live_total() == engine.transactions.live() == 1

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sipwall import state
 from sipwall.engine import TransactionTracker
 from sipwall.state import (
     GLOBAL_KEY,
@@ -198,15 +199,31 @@ class TestStore:
         assert store.live_total() == 1
         assert store.peek("obj", dialog_scope(2)) is not None
 
-    def test_expire_evicts_at_most_the_sweep_limit_per_table(self):
+    def test_expire_evicts_at_most_the_floor_without_growth(self, monkeypatch):
+        monkeypatch.setattr(state, "SWEEP_FLOOR", 2)
         store, _ = make_store(lifetime=10.0)
-        store.sweep_limit = 2
         for n in range(5):
             store.resolve("obj", dialog_scope(n), float(n))
-        store.resolve("obj", dialog_scope(9), 50.0)
+        store.resolve("obj", dialog_scope(9), 5.0)
+        assert store.expire(5.0) == 0  # nothing idle yet; the table now counts 6
+        store.resolve("obj", dialog_scope(9), 50.0)  # a touch, no growth
         assert [store.expire(55.0) for _ in range(4)] == [2, 2, 1, 0]
         assert store.live_total() == 1
         assert store.peek("obj", dialog_scope(9)) is not None
+
+    def test_expire_limit_follows_the_growth_since_the_last_sweep(self, monkeypatch):
+        monkeypatch.setattr(state, "SWEEP_FLOOR", 2)
+        store, _ = make_store(lifetime=10.0)
+        for n in range(8):
+            store.resolve("obj", dialog_scope(n), float(n))
+        assert store.expire(8.0) == 0
+        for n in range(8, 11):
+            store.resolve("obj", dialog_scope(n), 50.0)
+        # 3 entries since the last sweep: up to 6 expired ones go
+        assert store.expire(55.0) == 6
+        # no growth since: back to the floor
+        assert store.expire(55.0) == 2
+        assert store.live_total() == 3
 
     def test_no_lifetime_never_expires_but_leaks(self):
         store = StateStore(

@@ -115,14 +115,25 @@ class TestNdtrace:
         with pytest.raises(TraceFormatError, match="record 2: unreadable timestamp"):
             list(read_ndtrace(str(path)))
 
-    @pytest.mark.parametrize("src, dst", [("a:99999999999", "b:5060"), ("a:5060", "b:65536")])
-    def test_rejects_port_out_of_range(self, tmp_path, src, dst):
+    @pytest.mark.parametrize(
+        "src, dst, length, error",
+        [
+            ("a:99999", "b:5060", "1", "port 99999 out of range"),
+            ("a:5060", "b:65536", "1", "port 65536 out of range"),
+            # too many digits for any port or length: int() would raise a
+            # bare ValueError past Python's digit limit (4,300 digits)
+            ("a:99999999999", "b:5060", "1", "bad metadata line"),
+            ("a:5060", "b:" + "9" * 5000, "1", "bad metadata line"),
+            ("a:5060", "b:5060", "9" * 5000, "bad metadata line"),
+        ],
+    )
+    def test_rejects_port_out_of_range(self, tmp_path, src, dst, length, error):
         path = tmp_path / "bad"
         path.write_bytes(
             b"#ndtrace v1\n"
-            + f"ts=1.000000 dir=in src={src} dst={dst} len=1\nx\n".encode()
+            + f"ts=1.000000 dir=in src={src} dst={dst} len={length}\nx\n".encode()
         )
-        with pytest.raises(TraceFormatError, match="record 1: port .* out of range"):
+        with pytest.raises(TraceFormatError, match=f"record 1: {error}"):
             list(read_ndtrace(str(path)))
 
     def test_accepts_the_port_bounds(self, tmp_path):
