@@ -16,7 +16,7 @@ from itertools import compress, groupby, repeat
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple
 
-from .parser import FieldPath, MalformedMessage, ParseTree
+from .parser import FIELD_IDS, FieldPath, MalformedMessage, ParseTree
 from .rules import Action, ActionKind, Clause, ClauseKind, Rule, RuleProgram, _COMPARATORS
 from .state import GLOBAL_KEY, Scope, StateStore, expire_head
 
@@ -129,22 +129,22 @@ class RuleBlock(NamedTuple):
     prefixes: tuple[str | None, ...]  # each member's anchored prefix, or None
 
 
-def _block_field(rule: Rule) -> int | None:
-    """The field id a rule's first clause searches, if that clause is a
-    non-negated regex."""
+def _block_field(rule: Rule) -> str | None:
+    """The key of the field a rule's first clause searches, if that clause
+    is a non-negated regex."""
     first = rule.clauses[0] if rule.clauses else None
     if first is None or first.kind is not ClauseKind.REGEX or first.negated:
         return None
-    return first.field_id
+    return first.target.key()
 
 
 def _schedule_runs(program: RuleProgram) -> Iterator[RuleBlock | tuple[int, ...]]:
     """The schedule in order, as rule blocks and the tuples of rule ids
     between them."""
     loose: list[int] = []
-    for fid, group in groupby(program.schedule, lambda rid: _block_field(program.rule(rid))):
+    for key, group in groupby(program.schedule, lambda rid: _block_field(program.rule(rid))):
         rids = tuple(group)
-        if fid is None or len(rids) < 2:
+        if key is None or len(rids) < 2:
             loose.extend(rids)
             continue
         if loose:
@@ -152,7 +152,7 @@ def _schedule_runs(program: RuleProgram) -> Iterator[RuleBlock | tuple[int, ...]
             loose = []
         firsts = [program.rule(rid).clauses[0] for rid in rids]
         prefixes = tuple(_anchored_prefix(first.regex.pattern) for first in firsts)
-        yield RuleBlock(rids, firsts[0].target.key(), prefixes)
+        yield RuleBlock(rids, key, prefixes)
     if loose:
         yield tuple(loose)
 
@@ -345,7 +345,7 @@ class Engine:
         # an empty prefix passes every value
         prefixes = ("",) if None in run.prefixes else tuple(dict.fromkeys(run.prefixes))
         return _Block(
-            self._value_source(firsts[0].target, firsts[0].field_id),
+            self._value_source(firsts[0].target),
             prefixes,
             tuple(first.regex for first in firsts),
             tuple(members),
@@ -372,9 +372,7 @@ class Engine:
             return lambda ctx: GLOBAL_KEY
         return attrgetter("dialog_key" if scope is Scope.DIALOG else "transaction_key")
 
-    def _value_source(
-        self, target: FieldPath | str, fid: int | None
-    ) -> Callable[[MessageContext], object]:
+    def _value_source(self, target: FieldPath | str) -> Callable[[MessageContext], object]:
         """What a clause tests or a hold: stores: a counter's level, the
         datagram's source host, or a parse-tree node's value; None when absent."""
         if isinstance(target, str):  # a counter's current level
@@ -383,10 +381,11 @@ class Engine:
                 key = key_of(ctx)
                 now = ctx.arrival_time
                 return None if key is None else store.resolve(target, key, now).value(now)
-        elif target.key() == "FIELDS:net.src_addr":
+        elif (key := target.key()) == "FIELDS:net.src_addr":
             def value(ctx: MessageContext) -> str | None:
                 return ctx.src_host
         else:
+            fid = FIELD_IDS[key]
             def value(ctx: MessageContext) -> str | None:
                 node = ctx.tree.nodes.get(fid)
                 return None if node is None else node.value
@@ -396,7 +395,7 @@ class Engine:
         """The clause as one closure.  An absent subject (field, or scope key
         of a scoped object) makes it false in both polarities."""
         neg, kind, store = clause.negated, clause.kind, self.store
-        value = self._value_source(clause.target, clause.field_id)
+        value = self._value_source(clause.target)
 
         if kind is ClauseKind.REGEX:
             search = clause.regex.search
@@ -437,7 +436,7 @@ class Engine:
         """A hold: or declare: action as one closure, a no-op without a scope key."""
         name, store, key_of = act.name, self.store, self._scope_key(act.name)
         if act.kind is ActionKind.HOLD:
-            value = self._value_source(act.source, act.source_field_id)
+            value = self._value_source(act.source)
             def hold(ctx: MessageContext) -> None:
                 key, v = key_of(ctx), value(ctx)
                 if key is not None and v is not None:

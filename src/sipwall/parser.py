@@ -2,8 +2,9 @@
 
 Messages are parsed against a fixed catalog of addressable fields
 (``FIELDS:sip.from``, ``FIELDS:sip.via.branch``, ``BODY:raw``, ...).
-Only fields registered ahead of time are materialized; headers nobody
-asked for are identified by name and skipped without value parsing.
+A parser is built for the fields a rule program reads and materializes
+only those; headers nobody asked for are identified by name and skipped
+without value parsing.
 Every extracted node carries byte offsets into the original datagram so
 the raw slice can always be recovered from the parse tree.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 __all__ = [
     "MalformedMessage",
@@ -22,6 +24,7 @@ __all__ = [
     "SipParser",
     "normalize_value",
     "FIELD_CATALOG",
+    "FIELD_IDS",
 ]
 
 
@@ -35,31 +38,36 @@ class UnknownFieldError(Exception):
 
 _IDENT_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
-# Catalog of addressable fields: path -> (value type, header family, sub-part).
+# Catalog of addressable fields: path -> (header family, sub-part).
 # Families starting with "@" are not header names: "@start" comes from the
 # start line, "@body" from the message body, "@pseudo" is supplied by the
-# engine (never parsed out of the datagram).
-FIELD_CATALOG: dict[str, tuple[str, str, str]] = {
-    "FIELDS:sip.method": ("token", "@start", "method"),
-    "FIELDS:sip.uri": ("uri", "@start", "uri"),
-    "FIELDS:sip.status": ("numeric", "@start", "status"),
-    "FIELDS:sip.from": ("address", "from", ""),
-    "FIELDS:sip.from.addr": ("address", "from", "addr"),
-    "FIELDS:sip.from.tag": ("token", "from", "tag"),
-    "FIELDS:sip.to": ("address", "to", ""),
-    "FIELDS:sip.to.addr": ("address", "to", "addr"),
-    "FIELDS:sip.to.tag": ("token", "to", "tag"),
-    "FIELDS:sip.call_id": ("text", "call-id", ""),
-    "FIELDS:sip.cseq": ("text", "cseq", ""),
-    "FIELDS:sip.cseq.method": ("token", "cseq", "method"),
-    "FIELDS:sip.via": ("text", "via", ""),
-    "FIELDS:sip.via.branch": ("token", "via", "branch"),
-    "FIELDS:sip.contact": ("address", "contact", ""),
-    "FIELDS:sip.content_length": ("numeric", "content-length", ""),
-    "FIELDS:sip.user_agent": ("text", "user-agent", ""),
-    "FIELDS:net.src_addr": ("address", "@pseudo", ""),
-    "BODY:raw": ("text", "@body", ""),
+# engine (never parsed out of the datagram).  A family's sub-parts are
+# listed in the order its node keeps them as children.
+FIELD_CATALOG: dict[str, tuple[str, str]] = {
+    "FIELDS:sip.method": ("@start", "method"),
+    "FIELDS:sip.uri": ("@start", "uri"),
+    "FIELDS:sip.status": ("@start", "status"),
+    "FIELDS:sip.from": ("from", ""),
+    "FIELDS:sip.from.addr": ("from", "addr"),
+    "FIELDS:sip.from.tag": ("from", "tag"),
+    "FIELDS:sip.to": ("to", ""),
+    "FIELDS:sip.to.addr": ("to", "addr"),
+    "FIELDS:sip.to.tag": ("to", "tag"),
+    "FIELDS:sip.call_id": ("call-id", ""),
+    "FIELDS:sip.cseq": ("cseq", ""),
+    "FIELDS:sip.cseq.method": ("cseq", "method"),
+    "FIELDS:sip.via": ("via", ""),
+    "FIELDS:sip.via.branch": ("via", "branch"),
+    "FIELDS:sip.contact": ("contact", ""),
+    "FIELDS:sip.content_length": ("content-length", ""),
+    "FIELDS:sip.user_agent": ("user-agent", ""),
+    "FIELDS:net.src_addr": ("@pseudo", ""),
+    "BODY:raw": ("@body", ""),
 }
+
+# Every field's one id, its position in the catalog: parse-tree nodes are
+# keyed by it under every parser.
+FIELD_IDS: dict[str, int] = {key: i for i, key in enumerate(FIELD_CATALOG, 1)}
 
 # Short header forms (RFC 3261 section 7.3.3) of the catalog's header families.
 _COMPACT = {"f": "from", "t": "to", "i": "call-id", "v": "via", "m": "contact",
@@ -69,7 +77,7 @@ _COMPACT = {"f": "from", "t": "to", "i": "call-id", "v": "via", "m": "contact",
 # full name, then its compact forms.
 _HEADER_NAMES: dict[str, tuple[bytes, ...]] = {
     family: (family.encode(), *(c.encode() for c, f in _COMPACT.items() if f == family))
-    for _, family, _ in FIELD_CATALOG.values()
+    for family, _ in FIELD_CATALOG.values()
     if not family.startswith("@")
 }
 
@@ -100,10 +108,12 @@ _BRANCH_RE = re.compile(rb";\s*branch\s*=\s*([^;,\s]+)", re.IGNORECASE)
 # applied with .match(raw, pos), which anchors at pos; no ^ (it would pin to offset 0)
 _CSEQ_RE = re.compile(rb"(\d+)[ \t]+([^ \t\r\n]+)")
 
-# Fields the dialog and transaction keys are built from, in the order
-# extract_dialog_key/extract_transaction_key unpack their ids.
-_KEY_FIELDS = ("FIELDS:sip.call_id", "FIELDS:sip.from.tag", "FIELDS:sip.to.tag",
-               "FIELDS:sip.via.branch", "FIELDS:sip.cseq.method")
+# The ids of the fields the dialog and transaction keys are built from.
+_CALL_ID, _FROM_TAG, _TO_TAG, _BRANCH, _CSEQ_METHOD = (
+    FIELD_IDS[key] for key in ("FIELDS:sip.call_id", "FIELDS:sip.from.tag",
+                               "FIELDS:sip.to.tag", "FIELDS:sip.via.branch",
+                               "FIELDS:sip.cseq.method")
+)
 
 
 @dataclass(frozen=True)
@@ -141,7 +151,6 @@ class ParseNode:
     """One extracted field: byte span in the datagram plus the decoded value."""
 
     field_id: int
-    field_type: str
     start: int
     end: int
     value: str
@@ -242,10 +251,9 @@ def _cseq_method_span(raw: bytes, start: int, end: int) -> tuple[int, int] | Non
     return None if m is None else m.span(2)
 
 
-# Sub-part -> (its rank among its parent node's children, where it lies
-# inside its header's value).
-_PART_SPAN = {"addr": (0, _addr_host_span), "tag": (1, _tag_span),
-              "branch": (2, _branch_span), "method": (3, _cseq_method_span)}
+# Sub-part -> where it lies inside its header's value.
+_PART_SPAN = {"addr": _addr_host_span, "tag": _tag_span, "branch": _branch_span,
+              "method": _cseq_method_span}
 
 
 def _catalog_key(path: FieldPath | str) -> str:
@@ -259,106 +267,76 @@ def _catalog_key(path: FieldPath | str) -> str:
     return key
 
 
-# What seal() plans for one field: (field id, value type, @normalize cap or None).
-_Entry = tuple[int, str, "int | None"]
+# What the parser plans for one field: (field id, @normalize cap or None).
+_Entry = tuple[int, "int | None"]
 
 
 def _node(raw: bytes, entry: _Entry, start: int, end: int) -> ParseNode:
-    fid, ftype, cap = entry
+    fid, cap = entry
     if cap is not None and end - start > cap:
         end = start + _truncate_len(raw[start:end], cap)
         start, end = _trim_span(raw, start, end)
-    return ParseNode(fid, ftype, start, end, raw[start:end].decode("utf-8", "replace").strip())
+    return ParseNode(fid, start, end, raw[start:end].decode("utf-8", "replace").strip())
 
 
 class SipParser:
-    """Registry-driven lazy parser.
+    """Lazy parser for a fixed set of catalog fields.
 
-    Register the field paths the rule program needs, then call
-    :meth:`parse_message` per datagram.  ``parse_events`` counts header
-    value extractions and is the observable proof that unregistered
-    headers stay untouched.
+    ``SipParser(fields, caps)`` plans the extraction of ``fields``, each
+    value capped at ``caps[path]`` bytes where given, then
+    :meth:`parse_message` parses one datagram.  Tree nodes are keyed by
+    catalog id (``FIELD_IDS``).  ``parse_events`` counts header value
+    extractions and is the observable proof that other headers stay
+    untouched.
     """
 
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._caps: dict[str, int] = {}
-        self._sealed = False
-        # set by seal(): start-line part -> entry, header name -> the plan of
-        # its family ([bit, entry of the whole value or None, [(rank, span,
-        # entry) per sub-part]]), and the body's entry
+    def __init__(
+        self, fields: Iterable[FieldPath | str], caps: Mapping[FieldPath | str, int] | None = None
+    ) -> None:
+        self._fields = frozenset(map(_catalog_key, fields))
+        caps = {_catalog_key(path): cap for path, cap in (caps or {}).items()}
+        if any(cap < 1 for cap in caps.values()):
+            raise ValueError("max_len must be >= 1")
+        # start-line part -> entry, header name -> the plan of its family
+        # ([bit, entry of the whole value or None, [(span, entry) per
+        # sub-part, in catalog order]]), and the body's entry
         self._start_plan: dict[str, _Entry] = {}
         self._header_plans: dict[bytes, list] = {}
-        self._all_families = 0  # the bits of every planned family
         self._body_entry: _Entry | None = None
-        self._key_ids: tuple[int | None, ...] | None = None
-        self.parse_events = 0
-
-    def register_field(self, path: FieldPath | str) -> int:
-        if self._sealed:
-            raise RuntimeError("cannot register fields after parsing has started")
-        key = _catalog_key(path)
-        if key in self._ids:
-            return self._ids[key]
-        fid = len(self._ids) + 1
-        self._ids[key] = fid
-        return fid
-
-    def set_normalize_cap(self, path: FieldPath | str, max_len: int) -> None:
-        """Limit the extracted length of a field to max_len bytes."""
-        if self._sealed:
-            raise RuntimeError("cannot set caps after parsing has started")
-        if max_len < 1:
-            raise ValueError("max_len must be >= 1")
-        key = _catalog_key(path)
-        prev = self._caps.get(key)
-        self._caps[key] = max_len if prev is None else min(prev, max_len)
-
-    def field_id(self, path: FieldPath | str) -> int | None:
-        key = path.key() if isinstance(path, FieldPath) else FieldPath.parse(path).key()
-        return self._ids.get(key)
-
-    def seal(self) -> None:
-        """Freeze the registry and plan the extraction of each field."""
-        if self._sealed:
-            return
-        plans, families = self._header_plans, 0
-        for key, fid in self._ids.items():
-            ftype, family, part = FIELD_CATALOG[key]
-            entry = (fid, ftype, self._caps.get(key))
+        families = 0
+        for key, (family, part) in FIELD_CATALOG.items():  # the same plan in any field order
+            if key not in self._fields:
+                continue
+            entry = (FIELD_IDS[key], caps.get(key))
             if family == "@start":
                 self._start_plan[part] = entry
             elif family == "@body":
                 self._body_entry = entry
             elif family != "@pseudo":
                 names = _HEADER_NAMES[family]
-                plan = plans.get(names[0])
+                plan = self._header_plans.get(names[0])
                 if plan is None:
                     plan = [1 << families, None, []]
                     families += 1
                     for name in names:
-                        plans[name] = plan
+                        self._header_plans[name] = plan
                 if not part:
                     plan[1] = entry
                 else:
-                    plan[2].append((*_PART_SPAN[part], entry))
-                    plan[2].sort()
-        self._all_families = (1 << families) - 1
-        self._key_ids = self._key_field_ids()
-        self._sealed = True
+                    plan[2].append((_PART_SPAN[part], entry))
+        self._all_families = (1 << families) - 1  # the bits of every planned family
+        self.parse_events = 0
 
-    def _key_field_ids(self) -> tuple[int | None, ...]:
-        return tuple(self._ids.get(key) for key in _KEY_FIELDS)
+    def field_id(self, path: FieldPath | str) -> int | None:
+        """The catalog id of path when this parser extracts it, else None."""
+        key = path.key() if isinstance(path, FieldPath) else FieldPath.parse(path).key()
+        return FIELD_IDS[key] if key in self._fields else None
 
     # ------------------------------------------------------------------
     # message parsing
     # ------------------------------------------------------------------
 
     def parse_message(self, raw: bytes) -> ParseTree:
-        if not self._sealed:
-            self.seal()
-        if not self._ids:
-            raise RuntimeError("no fields registered")
         if not raw:
             raise MalformedMessage("empty message")
 
@@ -386,20 +364,18 @@ class SipParser:
 
     def extract_dialog_key(self, tree: ParseTree) -> tuple[str, str, str] | None:
         """(call_id, from_tag, to_tag), a missing tag as ""; None without a Call-ID."""
-        call_id_id, from_tag_id, to_tag_id, _, _ = self._key_ids or self._key_field_ids()
-        get = tree.nodes.get  # a None id finds no node
-        call_id = get(call_id_id)
+        get = tree.nodes.get
+        call_id = get(_CALL_ID)
         if call_id is None or not call_id.value:
             return None
-        from_tag, to_tag = get(from_tag_id), get(to_tag_id)
+        from_tag, to_tag = get(_FROM_TAG), get(_TO_TAG)
         return (call_id.value, "" if from_tag is None else from_tag.value,
                 "" if to_tag is None else to_tag.value)
 
     def extract_transaction_key(self, tree: ParseTree) -> tuple[str, str] | None:
         """(topmost Via branch, CSeq method); None when either is missing."""
-        _, _, _, branch_id, method_id = self._key_ids or self._key_field_ids()
         get = tree.nodes.get
-        branch, cseq_method = get(branch_id), get(method_id)
+        branch, cseq_method = get(_BRANCH), get(_CSEQ_METHOD)
         if branch is None or cseq_method is None or not branch.value or not cseq_method.value:
             return None
         return branch.value, cseq_method.value
@@ -461,24 +437,24 @@ class SipParser:
                 s = e
             # a node is built inline unless a cap applies (_node)
             if whole is not None:
-                fid, ftype, cap = whole
+                fid, cap = whole
                 if cap is None:
                     parent = nodes[fid] = ParseNode(
-                        fid, ftype, s, e, raw[s:e].decode("utf-8", "replace").strip()
+                        fid, s, e, raw[s:e].decode("utf-8", "replace").strip()
                     )
                 else:
                     parent = nodes[fid] = _node(raw, whole, s, e)
                     e = parent.end  # children must stay inside a capped parent span
             if parts:
                 children = []
-                for _, span_of, entry in parts:
+                for span_of, entry in parts:
                     span = span_of(raw, s, e)
                     if span is not None:
-                        fid, ftype, cap = entry
+                        fid, cap = entry
                         if cap is None:
                             cs, ce = span
                             child = ParseNode(
-                                fid, ftype, cs, ce, raw[cs:ce].decode("utf-8", "replace").strip()
+                                fid, cs, ce, raw[cs:ce].decode("utf-8", "replace").strip()
                             )
                         else:
                             child = _node(raw, entry, *span)

@@ -14,8 +14,8 @@ or a declared object, and tests it with a regex or an ``@`` operator.
 fate (``drop``, ``forward``) or declare stateful objects (``hold:``,
 ``declare:``).
 
-Compilation resolves every object reference, registers the referenced
-fields with a parser, and orders the rules so that any rule declaring an
+Compilation resolves every object reference, builds a parser for the
+referenced fields, and orders the rules so that any rule declaring an
 object runs before every rule reading it.
 """
 
@@ -120,7 +120,6 @@ class Clause:
     pattern: str | None = None
     operand: int | None = None
     object_name: str | None = None
-    field_id: int | None = dc_field(default=None, compare=False, repr=False)
     regex: re.Pattern | None = dc_field(default=None, compare=False, repr=False)
 
 
@@ -133,7 +132,6 @@ class Action:
     leak_amount: int = 0
     leak_interval: int = 60
     scope: Scope | None = None  # only set when written explicitly
-    source_field_id: int | None = dc_field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -426,8 +424,8 @@ def compile_ruleset(
     rules: list[Rule],
     *,
     scope_lifetimes: dict[Scope, float | None] | None = None,
-    default_max_len: int = DEFAULT_MAX_VALUE_LEN,
 ) -> RuleProgram:
+    """Check, schedule and plan rules into a program; the rules stay untouched."""
     lifetimes = dict(DEFAULT_LIFETIMES)
     if scope_lifetimes:
         lifetimes.update(scope_lifetimes)
@@ -479,21 +477,15 @@ def compile_ruleset(
                 cap = clause.operand
                 caps[key] = min(caps.get(key, cap), cap)
 
-    parser = SipParser()
-    for path in ALWAYS_REGISTERED:
-        parser.register_field(path)
+    fields = set(ALWAYS_REGISTERED)
     for rule in rules:
-        try:
-            for clause in rule.clauses:
-                if isinstance(clause.target, FieldPath):
-                    clause.field_id = parser.register_field(clause.target)
-            for act in rule.actions:
-                if act.source is not None:
-                    act.source_field_id = parser.register_field(act.source)
-        except UnknownFieldError as exc:
-            raise RuleError(rule.lineno, str(exc)) from None
-    for key, cap in caps.items():
-        parser.set_normalize_cap(key, cap)
+        for part in rule.clauses + rule.actions:
+            path = part.target if isinstance(part, Clause) else part.source
+            if isinstance(path, FieldPath):
+                key = path.key()
+                if key not in FIELD_CATALOG:
+                    raise RuleError(rule.lineno, f"unknown field {key}")
+                fields.add(key)
 
     descriptors: dict[str, ContainerDescriptor] = {}
     for name, (_rule, act) in declared.items():
@@ -501,9 +493,9 @@ def compile_ruleset(
             scope = act.scope or Scope.GLOBAL
         else:
             scope = act.scope or Scope.DIALOG
-        max_len = default_max_len
+        max_len = DEFAULT_MAX_VALUE_LEN
         if act.source is not None:
-            max_len = caps.get(act.source.key(), default_max_len)
+            max_len = caps.get(act.source.key(), DEFAULT_MAX_VALUE_LEN)
         descriptors[name] = ContainerDescriptor(
             name=name,
             kind=act.container,
@@ -514,13 +506,11 @@ def compile_ruleset(
             leak_interval=float(act.leak_interval),
         )
 
-    order = schedule_rules(rules)
-    parser.seal()
     return RuleProgram(
         rules=tuple(rules),
-        schedule=order,
+        schedule=schedule_rules(rules),
         declared_objects=descriptors,
-        parser=parser,
+        parser=SipParser(fields, caps),
         lifetimes=lifetimes,
     )
 

@@ -57,21 +57,48 @@ class TraceRecord(NamedTuple):
     payload: bytes
 
 
+def _read_meta(line: bytes, prev_ts: float | None) -> tuple:
+    """(ts, direction, src, dst, payload length) of one metadata line
+    without its newline, for the reader and the writer alike; a ValueError
+    says what is wrong with the line."""
+    m = _META_RE.match(line)
+    if not m:
+        raise ValueError(f"bad metadata line {line[:80]!r}")
+    ts, direction, src_host, src_port, dst_host, dst_port, length = m.groups()
+    try:
+        ts = float(ts)
+    except ValueError:
+        raise ValueError(f"unreadable timestamp {ts[:32]!r}") from None
+    if prev_ts is not None and ts < prev_ts:
+        raise ValueError(f"timestamp {ts} before {prev_ts}")
+    src_port, dst_port = int(src_port), int(dst_port)
+    if src_port > 65535 or dst_port > 65535:
+        raise ValueError(f"port {max(src_port, dst_port)} out of range")
+    return (ts, direction.decode(), (src_host.decode(), src_port),
+            (dst_host.decode(), dst_port), int(length))
+
+
 def write_trace(records: Iterable[TraceRecord], path: str) -> int:
-    """Write records in ndtrace framing; returns the record count."""
+    """Write records in ndtrace framing; returns the record count.  A record
+    the reader would refuse raises TraceFormatError naming it."""
     count = 0
+    prev_ts = None
     with open(path, "wb") as fh:
         fh.write(NDTRACE_HEADER + b"\n")
         for rec in records:
-            meta = (
-                f"ts={rec.ts:.6f} dir={rec.direction} "
-                f"src={rec.src[0]}:{rec.src[1]} dst={rec.dst[0]}:{rec.dst[1]} "
-                f"len={len(rec.payload)}\n"
-            )
-            fh.write(meta.encode("ascii"))
+            count += 1
+            try:
+                meta = (
+                    f"ts={rec.ts:.6f} dir={rec.direction} "
+                    f"src={rec.src[0]}:{rec.src[1]} dst={rec.dst[0]}:{rec.dst[1]} "
+                    f"len={len(rec.payload)}"
+                ).encode("ascii")
+                prev_ts = _read_meta(meta, prev_ts)[0]
+            except ValueError as exc:  # UnicodeEncodeError included
+                raise TraceFormatError(f"{path}: record {count}: {exc}") from None
+            fh.write(meta + b"\n")
             fh.write(rec.payload)
             fh.write(b"\n")
-            count += 1
     return count
 
 
@@ -95,13 +122,10 @@ def read_ndtrace(path: str) -> Iterator[TraceRecord]:
             if not line:
                 return
             index += 1
-            m = _META_RE.match(line.rstrip(b"\n"))
-            if not m:
-                raise TraceFormatError(
-                    f"{path}: record {index}: bad metadata line {line[:80]!r}"
-                )
-            ts, direction, src_host, src_port, dst_host, dst_port, length = m.groups()
-            length = int(length)
+            try:
+                ts, direction, src, dst, length = _read_meta(line.rstrip(b"\n"), prev_ts)
+            except ValueError as exc:
+                raise TraceFormatError(f"{path}: record {index}: {exc}") from None
             payload = fh.read(length)
             if len(payload) != length:
                 raise TraceFormatError(f"{path}: record {index}: truncated payload")
@@ -109,29 +133,8 @@ def read_ndtrace(path: str) -> Iterator[TraceRecord]:
                 raise TraceFormatError(
                     f"{path}: record {index}: missing payload terminator"
                 )
-            try:
-                ts = float(ts)
-            except ValueError:
-                raise TraceFormatError(
-                    f"{path}: record {index}: unreadable timestamp {ts[:32]!r}"
-                ) from None
-            if prev_ts is not None and ts < prev_ts:
-                raise TraceFormatError(
-                    f"{path}: record {index}: timestamp {ts} before {prev_ts}"
-                )
             prev_ts = ts
-            src_port, dst_port = int(src_port), int(dst_port)
-            if src_port > 65535 or dst_port > 65535:
-                raise TraceFormatError(
-                    f"{path}: record {index}: port {max(src_port, dst_port)} out of range"
-                )
-            yield TraceRecord(
-                ts,
-                direction.decode(),
-                (src_host.decode(), src_port),
-                (dst_host.decode(), dst_port),
-                payload,
-            )
+            yield TraceRecord(ts, direction, src, dst, payload)
 
 
 # pcap constants

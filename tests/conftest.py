@@ -15,9 +15,5 @@ def sipmsg(text: str, body: bytes = b"") -> bytes:
 
 @pytest.fixture
 def full_parser() -> SipParser:
-    """Parser with every catalog field registered."""
-    parser = SipParser()
-    for key in FIELD_CATALOG:
-        parser.register_field(key)
-    parser.seal()
-    return parser
+    """Parser for every catalog field."""
+    return SipParser(FIELD_CATALOG)

@@ -119,6 +119,25 @@ class TestVerdicts:
                 assert verdict.matched_rules == ()
 
 
+class TestRecompile:
+    RULES = 'secsip "FIELDS:sip.uri" "^sip:evil" drop\nsecsip "FIELDS:sip.user_agent" "^bad" drop\n'
+
+    @pytest.mark.parametrize("again", ["subset", "reversed"])
+    def test_compiling_the_rules_again_keeps_verdicts(self, again):
+        # compiling shares nothing mutable with the parsed rules, so a later
+        # compile of the same Rule objects cannot re-point a program's fields
+        rules = parse_ruleset(self.RULES)
+        program = compile_ruleset(rules)
+        built_before = Engine(program)
+        compile_ruleset(rules[1:] if again == "subset" else rules[::-1])
+        evil_uri = invite().replace(b"INVITE sip:bob@", b"INVITE sip:evil@")
+        bad_agent = invite().replace(b"User-Agent: sipwall-gen/0.1", b"User-Agent: bad")
+        for engine in (built_before, Engine(program)):
+            assert engine.process_message(evil_uri).decision == "drop"
+            assert engine.process_message(bad_agent).decision == "drop"
+            assert engine.process_message(invite()).decision == "forward"
+
+
 class TestFailureHandling:
     def test_malformed_message_drops(self):
         engine = make_engine("")

@@ -4,6 +4,7 @@ import pytest
 
 from sipwall.parser import (
     FIELD_CATALOG,
+    FIELD_IDS,
     FieldPath,
     MalformedMessage,
     SipParser,
@@ -250,23 +251,19 @@ class TestHeaderExtraction:
 
 class TestLaziness:
     def test_unregistered_headers_cost_nothing(self):
-        parser = SipParser()
-        parser.register_field("FIELDS:sip.method")
+        parser = SipParser(["FIELDS:sip.method"])
         before = parser.parse_events
         parser.parse_message(INVITE)
         assert parser.parse_events == before  # start line is not a header event
 
     def test_events_track_registered_families_only(self):
-        parser = SipParser()
-        parser.register_field("FIELDS:sip.from.tag")
-        parser.register_field("FIELDS:sip.call_id")
+        parser = SipParser(["FIELDS:sip.from.tag", "FIELDS:sip.call_id"])
         before = parser.parse_events
         parser.parse_message(INVITE)
         assert parser.parse_events - before == 2
 
     def test_extra_junk_headers_add_no_events(self):
-        parser = SipParser()
-        parser.register_field("FIELDS:sip.call_id")
+        parser = SipParser(["FIELDS:sip.call_id"])
         small = sipmsg(
             """
             OPTIONS sip:gw.example SIP/2.0
@@ -296,34 +293,30 @@ class TestLaziness:
         assert cost_small == cost_noisy == 1
 
     def test_unregistered_fields_absent_from_tree(self):
-        parser = SipParser()
-        parser.register_field("FIELDS:sip.method")
-        fid = parser.field_id("FIELDS:sip.method")
+        parser = SipParser(["FIELDS:sip.method"])
         tree = parser.parse_message(INVITE)
-        assert set(tree.nodes) == {fid}
+        assert set(tree.nodes) == {FIELD_IDS["FIELDS:sip.method"]}
+        assert parser.field_id("FIELDS:sip.method") == FIELD_IDS["FIELDS:sip.method"]
+        assert parser.field_id("FIELDS:sip.uri") is None
 
 
 class TestRegistry:
     def test_unknown_field_rejected(self):
-        parser = SipParser()
         with pytest.raises(UnknownFieldError):
-            parser.register_field("FIELDS:sip.nonexistent")
+            SipParser(["FIELDS:sip.nonexistent"])
         with pytest.raises(UnknownFieldError):
-            parser.register_field("WEIRD:sip.method")
-
-    def test_register_after_seal_rejected(self, full_parser):
-        with pytest.raises(RuntimeError):
-            full_parser.register_field("FIELDS:sip.method")
+            SipParser(["WEIRD:sip.method"])
 
     def test_message_headers_alias(self):
         path = FieldPath.parse("MESSAGE_HEADERS:sip.from")
         assert path.key() == "FIELDS:sip.from"
 
     def test_catalog_paths_all_register(self):
-        parser = SipParser()
-        ids = {key: parser.register_field(key) for key in FIELD_CATALOG}
-        assert len(set(ids.values())) == len(FIELD_CATALOG)
-        assert all(parser.field_id(key) == fid for key, fid in ids.items())
+        parser = SipParser(reversed(FIELD_CATALOG))
+        assert sorted(FIELD_IDS.values()) == list(range(1, len(FIELD_CATALOG) + 1))
+        assert all(parser.field_id(key) == fid for key, fid in FIELD_IDS.items())
+        via = FieldPath.parse("MESSAGE_HEADERS:sip.via")
+        assert parser.field_id(via) == FIELD_IDS["FIELDS:sip.via"]
 
 
 class TestNormalize:
@@ -346,14 +339,14 @@ class TestNormalize:
         capped = normalize_value(text, 8)
         assert capped == "a" * 7  # the \r of a CRLF pair is not kept alone
 
-    def test_cap_after_seal_rejected(self, full_parser):
-        with pytest.raises(RuntimeError):
-            full_parser.set_normalize_cap("FIELDS:sip.uri", 4)
+    def test_constructor_rejects_bad_caps(self):
+        with pytest.raises(ValueError):
+            SipParser(["FIELDS:sip.uri"], {"FIELDS:sip.uri": 0})
+        with pytest.raises(UnknownFieldError):
+            SipParser(["FIELDS:sip.uri"], {"FIELDS:sip.nonexistent": 4})
 
     def test_parser_cap_keeps_fidelity(self):
-        parser = SipParser()
-        parser.register_field("FIELDS:sip.uri")
-        parser.set_normalize_cap("FIELDS:sip.uri", 12)
+        parser = SipParser(["FIELDS:sip.uri"], {"FIELDS:sip.uri": 12})
         msg = sipmsg(
             """
             INVITE sip:a-very-long-target-name@gw.example SIP/2.0
@@ -422,13 +415,18 @@ class TestKeys:
         )
         assert full_parser.extract_transaction_key(full_parser.parse_message(msg)) is None
 
-    def test_keys_on_unsealed_parser(self, full_parser):
-        # the same registrations in the same order give the same field ids
-        unsealed = SipParser()
-        for key in FIELD_CATALOG:
-            unsealed.register_field(key)
+    def test_keys_read_another_parsers_tree(self, full_parser):
+        # nodes are keyed by catalog id, so any parser keys any parser's tree
+        keys_only = SipParser(["FIELDS:sip.cseq.method", "FIELDS:sip.to.tag",
+                               "FIELDS:sip.via.branch", "FIELDS:sip.from.tag",
+                               "FIELDS:sip.call_id"])
+        start_only = SipParser(["FIELDS:sip.method"])
         for msg in (INVITE, RINGING):
-            tree = full_parser.parse_message(msg)
-            assert unsealed.extract_dialog_key(tree) == full_parser.extract_dialog_key(tree)
-            assert unsealed.extract_transaction_key(tree) == full_parser.extract_transaction_key(tree)
-        unsealed.register_field("FIELDS:sip.method")  # extraction left it unsealed
+            for tree in (full_parser.parse_message(msg), keys_only.parse_message(msg)):
+                dialog = full_parser.extract_dialog_key(tree)
+                transaction = full_parser.extract_transaction_key(tree)
+                assert dialog is not None and transaction is not None
+                for parser in (keys_only, start_only):
+                    assert parser.extract_dialog_key(tree) == dialog
+                    assert parser.extract_transaction_key(tree) == transaction
+            assert full_parser.extract_dialog_key(start_only.parse_message(msg)) is None

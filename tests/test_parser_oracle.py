@@ -5,7 +5,8 @@ the same corpora: the c8 mutants, and messages whose header section is
 salted with CR, LF, tabs, colons, vertical tabs, form feeds, folds and
 compact or oddly cased names.  Every tree (offsets, values, children),
 every MalformedMessage and every ``parse_events`` step must agree, with
-and without ``@normalize`` caps and with only some families registered.
+and without ``@normalize`` caps, with only some families planned and
+with the same fields listed in another order.
 The scan stops once every planned family has been seen, so the
 configurations include planned families after unplanned ones, repeats
 after every planned family, a body field and no header family at all.
@@ -18,7 +19,7 @@ import random
 import pytest
 
 from sipwall.gen import gen_bye_attack
-from sipwall.parser import FIELD_CATALOG, MalformedMessage, SipParser
+from sipwall.parser import FIELD_CATALOG, FIELD_IDS, MalformedMessage, SipParser
 
 from test_acceptance import mutate
 from walker_reference import WalkerParser
@@ -53,15 +54,19 @@ NAMES = [b"From", b"f", b"F", b"TO", b"t", b"call-ID", b"i", b"Via", b"V", b"cse
          b"Contact", b"m", b"M", b"Content-Length", b"l", b"user-agent", b"X-Other",
          b" from", b"\x0bvia", b"from\t", b"\rto"]
 
+CAPS = {
+    "FIELDS:sip.from": 9, "FIELDS:sip.via": 14, "FIELDS:sip.call_id": 3,
+    "FIELDS:sip.uri": 5, "FIELDS:sip.user_agent": 1, "FIELDS:sip.cseq.method": 2,
+    "BODY:raw": 2,
+}
+SOME = ["FIELDS:sip.from.tag", "FIELDS:sip.via.branch", "FIELDS:sip.contact", "FIELDS:sip.method"]
+
 CONFIGS = {
     "all fields": (list(FIELD_CATALOG), {}),
-    "all fields, capped": (list(FIELD_CATALOG), {
-        "FIELDS:sip.from": 9, "FIELDS:sip.via": 14, "FIELDS:sip.call_id": 3,
-        "FIELDS:sip.uri": 5, "FIELDS:sip.user_agent": 1, "FIELDS:sip.cseq.method": 2,
-        "BODY:raw": 2,
-    }),
-    "some families": (["FIELDS:sip.from.tag", "FIELDS:sip.via.branch",
-                       "FIELDS:sip.contact", "FIELDS:sip.method"], {}),
+    "all fields, capped": (list(FIELD_CATALOG), CAPS),
+    "all fields, capped, reversed": (list(reversed(FIELD_CATALOG)), CAPS),
+    "some families": (SOME, {}),
+    "some families, reordered": (SOME[2:] + SOME[:2], {}),
     "some families, capped": (["FIELDS:sip.to.tag", "FIELDS:sip.content_length",
                                "FIELDS:sip.from.addr", "FIELDS:sip.cseq"],
                               {"FIELDS:sip.to.tag": 2, "FIELDS:sip.cseq": 4}),
@@ -71,16 +76,6 @@ CONFIGS = {
     "body field": (["BODY:raw", "FIELDS:sip.via.branch"], {}),
     "start line only": (["FIELDS:sip.method", "FIELDS:sip.uri", "FIELDS:sip.status"], {}),
 }
-
-
-def build(cls, fields, caps):
-    parser = cls()
-    for key in fields:
-        parser.register_field(key)
-    for key, cap in caps.items():
-        parser.set_normalize_cap(key, cap)
-    parser.seal()
-    return parser
 
 
 def outcome(parser, raw):
@@ -121,7 +116,7 @@ def salted(rng: random.Random, n: int):
 @pytest.mark.parametrize("corpus", ["c8 mutants", "salted"])
 def test_one_pass_scan_matches_the_walker(config, corpus):
     fields, caps = CONFIGS[config]
-    fast, slow = build(SipParser, fields, caps), build(WalkerParser, fields, caps)
+    fast, slow = SipParser(fields, caps), WalkerParser(fields, caps)
     rng = random.Random(f"{corpus}/{config}")
     messages = c8_mutants(rng, 6000) if corpus == "c8 mutants" else salted(rng, 6000)
     parsed = 0
@@ -130,16 +125,32 @@ def test_one_pass_scan_matches_the_walker(config, corpus):
         assert got == want, raw
         parsed += not isinstance(got[0], str)
     assert parsed > 1000
-    headers = any(not FIELD_CATALOG[key][1].startswith("@") for key in fields)
+    headers = any(not FIELD_CATALOG[key][0].startswith("@") for key in fields)
     assert fast.parse_events == slow.parse_events
     assert (fast.parse_events > 0) == headers  # a start-line program scans nothing
 
 
 def test_topmost_header_wins_after_every_family_is_seen():
     fields, _ = CONFIGS["repeated after all seen"]
-    parser = build(SipParser, fields, {})
+    parser = SipParser(fields)
     tree, events = outcome(parser, SEEDS[-1])
     values = {key: tree.nodes[parser.field_id(key)].value for key in fields}
     assert values == {"FIELDS:sip.via.branch": "z9hG4bKtop", "FIELDS:sip.call_id": "top@x",
                       "FIELDS:sip.from.tag": "top", "FIELDS:sip.cseq.method": "BYE"}
     assert events == 4
+
+
+@pytest.mark.parametrize("config", ["all fields, capped", "some families"])
+def test_field_order_keeps_node_ids_and_values(config):
+    fields, caps = CONFIGS[config]
+    forward, backward = SipParser(fields, caps), SipParser(list(reversed(fields)), caps)
+    planned = {FIELD_IDS[key] for key in fields}
+    parsed = 0
+    for raw in salted(random.Random(f"order/{config}"), 2000):
+        got, want = outcome(backward, raw), outcome(forward, raw)
+        assert got == want, raw
+        if not isinstance(got[0], str):
+            assert set(got[0].nodes) <= planned
+            assert all(node.field_id == fid for fid, node in got[0].nodes.items())
+            parsed += 1
+    assert parsed > 500

@@ -190,6 +190,25 @@ class TestCompile:
         assert rate.lifetime is None
         assert rate.leak_amount == 10 and rate.leak_interval == 60.0
 
+    def test_compile_leaves_rules_untouched(self):
+        rules = parse_ruleset(BYE_RULES + '\nsecsip "FIELDS:sip.user_agent" "@normalize 8" forward')
+
+        def state_of(rules):
+            return [[dict(vars(part)) for part in (rule, *rule.clauses, *rule.actions)]
+                    for rule in rules]
+
+        parsed = state_of(rules)
+        compile_ruleset(rules)
+        compile_ruleset(rules[::-1])
+        assert state_of(rules) == parsed
+
+    def test_field_outside_the_catalog_names_its_line(self):
+        (rule,) = parse_ruleset('secsip "FIELDS:sip.uri" "^sip:" drop')
+        rule.lineno = 7
+        rule.clauses[0].target = FieldPath("FIELDS", ("sip", "nope"))
+        with pytest.raises(RuleError, match="line 7: unknown field FIELDS:sip.nope"):
+            compile_ruleset([rule])
+
     def test_normalize_cap_reaches_hold_descriptor(self):
         rules = parse_ruleset(
             'secsip "FIELDS:sip.from" "@normalize 48" forward\n'

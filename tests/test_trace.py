@@ -94,15 +94,16 @@ class TestNdtrace:
             list(read_ndtrace(str(path)))
 
     def test_rejects_non_monotone_timestamps(self, tmp_path):
-        records = [
-            TraceRecord(1.0, "in", ("a", 1), ("b", 2), b"x"),
-            TraceRecord(2.0, "in", ("a", 1), ("b", 2), b"y"),
-            TraceRecord(1.5, "in", ("a", 1), ("b", 2), b"z"),
-        ]
-        path = str(tmp_path / "t.ndtrace")
-        write_trace(records, path)
+        # written by hand: write_trace refuses this file
+        path = tmp_path / "t.ndtrace"
+        path.write_bytes(
+            b"#ndtrace v1\n"
+            b"ts=1.000000 dir=in src=a:1 dst=b:2 len=1\nx\n"
+            b"ts=2.000000 dir=in src=a:1 dst=b:2 len=1\ny\n"
+            b"ts=1.500000 dir=in src=a:1 dst=b:2 len=1\nz\n"
+        )
         with pytest.raises(TraceFormatError, match="record 3"):
-            list(read_ndtrace(path))
+            list(read_ndtrace(str(path)))
 
     def test_rejects_unreadable_timestamp(self, tmp_path):
         # the metadata pattern admits "1.2.3"; float() does not
@@ -141,6 +142,30 @@ class TestNdtrace:
         path = str(tmp_path / "t.ndtrace")
         write_trace([rec], path)
         assert list(read_ndtrace(path)) == [rec]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (TraceRecord(3.0, "in", ("a", 70000), ("b", 5060), b"p"), "port 70000 out of range"),
+            (TraceRecord(3.0, "in", ("a", 5060), ("b", -1), b"p"), "bad metadata line"),
+            (TraceRecord(3.0, "sideways", ("a", 5060), ("b", 5060), b"p"), "bad metadata line"),
+            (TraceRecord(3.0, "in", ("a b", 5060), ("b", 5060), b"p"), "bad metadata line"),
+            (TraceRecord(float("nan"), "in", ("a", 5060), ("b", 5060), b"p"), "bad metadata line"),
+            (TraceRecord(1.5, "in", ("a", 5060), ("b", 5060), b"p"), "timestamp 1.5 before 2.0"),
+        ],
+        ids=["port 70000", "port -1", "direction", "host with a blank", "nan", "decreasing"],
+    )
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, bad, error):
+        good = [TraceRecord(1.0, "in", ("a", 5060), ("b", 5060), b"x"),
+                TraceRecord(2.0, "out", ("b", 5060), ("a", 5060), b"y")]
+        path = str(tmp_path / "t.ndtrace")
+        with pytest.raises(TraceFormatError, match=f"record 3: {error}"):
+            write_trace([*good, bad], path)
+
+    def test_writer_names_a_non_ascii_host(self, tmp_path):
+        rec = TraceRecord(1.0, "in", ("h\u00e9", 5060), ("b", 5060), b"x")
+        with pytest.raises(TraceFormatError, match="record 1: "):
+            write_trace([rec], str(tmp_path / "t.ndtrace"))
 
     def test_records_are_immutable(self):
         rec = TraceRecord(0.5, "in", ("a", 1), ("b", 2), b"p")

@@ -3,10 +3,10 @@
 ``WalkerParser`` walks the header section line by line in Python: a line
 that starts with a blank continues the header above it, a line without a
 colon ends it, a blank line ends the section, and only the topmost header
-of each registered family is extracted.  It shares registration, caps and
-the sub-part helpers with :class:`sipwall.parser.SipParser`, so comparing
-the two isolates how headers are found.  Tests only; nothing in sipwall
-imports it.
+of each planned family is extracted.  It takes the same fields and caps
+and shares the sub-part helpers with :class:`sipwall.parser.SipParser`,
+so comparing the two isolates how headers are found.  Tests only;
+nothing in sipwall imports it.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from sipwall.parser import (
     _REQUEST_RE,
     _RESPONSE_RE,
     FIELD_CATALOG,
+    FIELD_IDS,
     MalformedMessage,
     ParseNode,
     ParseTree,
@@ -27,24 +28,24 @@ from sipwall.parser import (
 
 
 class WalkerParser(SipParser):
-    def seal(self) -> None:
-        super().seal()
-        self._walk_header_plan: dict[str, dict[str, tuple[int, str]]] = {}
-        self._walk_start_plan: dict[str, tuple[int, str]] = {}
+    def __init__(self, fields, caps=None) -> None:
+        fields, caps = list(fields), dict(caps or {})
+        super().__init__(fields, caps)
+        self._walk_header_plan: dict[str, dict[str, int]] = {}
+        self._walk_start_plan: dict[str, int] = {}
         self._walk_body_field = None
-        self._walk_caps = {fid: self._caps.get(key) for key, fid in self._ids.items()}
-        for key, fid in self._ids.items():
-            ftype, family, part = FIELD_CATALOG[key]
+        self._walk_caps = {FIELD_IDS[key]: cap for key, cap in caps.items()}
+        for key in fields:
+            fid = FIELD_IDS[key]
+            family, part = FIELD_CATALOG[key]
             if family == "@start":
-                self._walk_start_plan[part] = (fid, ftype)
+                self._walk_start_plan[part] = fid
             elif family == "@body":
-                self._walk_body_field = (fid, ftype)
+                self._walk_body_field = fid
             elif family != "@pseudo":
-                self._walk_header_plan.setdefault(family, {})[part] = (fid, ftype)
+                self._walk_header_plan.setdefault(family, {})[part] = fid
 
     def parse_message(self, raw: bytes) -> ParseTree:
-        if not self._sealed:
-            self.seal()
         if not raw:
             raise MalformedMessage("empty message")
 
@@ -62,20 +63,19 @@ class WalkerParser(SipParser):
         body_start = self._walk_headers(raw, header_pos, nodes)
 
         if self._walk_body_field is not None and body_start < len(raw):
-            fid, ftype = self._walk_body_field
             s, e = _trim_span(raw, body_start, len(raw))
             if s < e:
-                self._make_node(raw, fid, ftype, s, e, nodes)
+                self._make_node(raw, self._walk_body_field, s, e, nodes)
 
         return ParseTree(kind, method, status, nodes, len(raw))
 
-    def _make_node(self, raw, fid, ftype, start, end, nodes) -> ParseNode:
-        cap = self._walk_caps[fid]
+    def _make_node(self, raw, fid, start, end, nodes) -> ParseNode:
+        cap = self._walk_caps.get(fid)
         if cap is not None and end - start > cap:
             end = start + _truncate_len(raw[start:end], cap)
             start, end = _trim_span(raw, start, end)
         value = raw[start:end].decode("utf-8", "replace").strip()
-        node = ParseNode(fid, ftype, start, end, value)
+        node = ParseNode(fid, start, end, value)
         nodes[fid] = node
         return node
 
@@ -85,9 +85,9 @@ class WalkerParser(SipParser):
             method = m.group(1).decode("ascii")
             plan = self._walk_start_plan
             if "method" in plan:
-                self._make_node(raw, *plan["method"], m.start(1), m.end(1), nodes)
+                self._make_node(raw, plan["method"], m.start(1), m.end(1), nodes)
             if "uri" in plan:
-                self._make_node(raw, *plan["uri"], m.start(2), m.end(2), nodes)
+                self._make_node(raw, plan["uri"], m.start(2), m.end(2), nodes)
             return "request", method, None
         m = _RESPONSE_RE.match(line)
         if m:
@@ -95,7 +95,7 @@ class WalkerParser(SipParser):
             if not 100 <= code <= 699:
                 raise MalformedMessage(f"status code {code} out of range")
             if "status" in self._walk_start_plan:
-                self._make_node(raw, *self._walk_start_plan["status"], m.start(1), m.end(1), nodes)
+                self._make_node(raw, self._walk_start_plan["status"], m.start(1), m.end(1), nodes)
             return "response", "", code
         raise MalformedMessage(f"unparseable start line {line[:64]!r}")
 
@@ -140,21 +140,21 @@ class WalkerParser(SipParser):
     def _emit_header(self, raw, family, vs, ve, nodes, seen) -> None:
         plan = self._walk_header_plan.get(family)
         if plan is None or family in seen:
-            return  # unregistered family, or repeat (only the topmost counts)
+            return  # unplanned family, or repeat (only the topmost counts)
         seen.add(family)
         self.parse_events += 1
 
         s, e = _trim_span(raw, vs, ve)
         full = None
         if "" in plan:
-            full = self._make_node(raw, *plan[""], s, e, nodes)
+            full = self._make_node(raw, plan[""], s, e, nodes)
             e = full.end  # children must stay inside a capped parent span
 
         children = []
-        for part, (_, span_of) in _PART_SPAN.items():
+        for part, span_of in _PART_SPAN.items():
             if part in plan:
                 span = span_of(raw, s, e)
                 if span:
-                    children.append(self._make_node(raw, *plan[part], *span, nodes))
+                    children.append(self._make_node(raw, plan[part], *span, nodes))
         if full is not None and children:
             full.children = tuple(children)
